@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from . import bounds, core, counting, hypergraph, verify
-from .construction import BaseParams, build_base_config
+from .construction import build_base_config, capped_params
 from .errors import QueensLabError
 from .flips import enumerate_flips, greedy_disjoint_flips, apply_flips
 
@@ -53,6 +53,16 @@ def _flip_payload(flip) -> dict:
     }
 
 
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=PROG,
@@ -82,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=counting.MODES, required=True)
     p.add_argument("--oracle", action="store_true", help="use the permutation-filter oracle")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("hg", help="hypergraph constructors, stats, matchings, bound")
@@ -92,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", action="store_true")
     p.add_argument("--count-pm", action="store_true")
     p.add_argument("--bound", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("bounds", help="bound constants, exposure matrix, row profiles")
@@ -109,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant suite")
     p.add_argument("--level", choices=verify.LEVELS, default="quick")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--out", default=None)
 
     return parser
@@ -120,7 +130,7 @@ def _run_construct(args) -> Any:
 
 
 def _run_flips(args) -> Any:
-    params = BaseParams.from_k(args.k)
+    params = capped_params(args.k)
     all_flips = enumerate_flips(params)
     payload = {"k": args.k, "n": params.n, "count": len(all_flips)}
     if args.list:
@@ -129,7 +139,7 @@ def _run_flips(args) -> Any:
 
 
 def _run_generate(args) -> Any:
-    params = BaseParams.from_k(args.k)
+    params = capped_params(args.k)
     flip_set = greedy_disjoint_flips(params, args.t, seed=args.seed)
     config = apply_flips(build_base_config(args.k), flip_set)
     return {

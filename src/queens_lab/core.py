@@ -6,6 +6,12 @@ residues ``0 .. n-1``.  On the toroidal board the two diagonal families
 are the residue classes of ``x + y`` and ``x - y`` mod n, so a placement
 is a toroidal solution exactly when both families are hit once each.
 On the classical board the same differences are taken over the integers.
+
+The validators decide validity from set sizes alone: a placement is
+valid exactly when each list of n diagonal indices has n distinct
+entries.  A rejected placement keeps only those two lists, and its
+``violations`` are tallied from them the first time they are read, so
+filtering many placements costs no per-call report building.
 """
 
 from __future__ import annotations
@@ -35,10 +41,63 @@ class Violation(NamedTuple):
     multiplicity: int
 
 
-@dataclass(frozen=True)
 class ValidityReport:
-    is_valid: bool
-    violations: tuple[Violation, ...]
+    """Outcome of a validator: ``is_valid`` and the over-occupied lines.
+
+    Constructed directly it holds the given values.  Validators build
+    invalid reports with ``_from_diagonals``, which keeps the two diagonal
+    index lists and tallies ``violations`` on first access, sorted by
+    (kind, index).  Immutable; equality, hash and repr go by
+    ``(is_valid, violations)``.
+    """
+
+    __slots__ = ("is_valid", "_violations", "_diagonals")
+
+    def __init__(self, is_valid: bool, violations: tuple[Violation, ...]):
+        object.__setattr__(self, "is_valid", is_valid)
+        object.__setattr__(self, "_violations", violations)
+        object.__setattr__(self, "_diagonals", None)
+
+    @classmethod
+    def _from_diagonals(cls, plus: list[int], minus: list[int]) -> "ValidityReport":
+        report = object.__new__(cls)
+        object.__setattr__(report, "is_valid", False)
+        object.__setattr__(report, "_diagonals", (plus, minus))
+        return report
+
+    @property
+    def violations(self) -> tuple[Violation, ...]:
+        diagonals = self._diagonals  # read once: another thread may clear it
+        if diagonals is not None:
+            plus, minus = diagonals
+            tally = tuple(
+                Violation(kind, index, mult)
+                for kind, indices in (("minus-diagonal", minus), ("plus-diagonal", plus))
+                for index, mult in sorted(Counter(indices).items())
+                if mult > 1
+            )
+            object.__setattr__(self, "_violations", tally)
+            object.__setattr__(self, "_diagonals", None)
+        return self._violations
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"ValidityReport is immutable; cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if not isinstance(other, ValidityReport):
+            return NotImplemented
+        return (self.is_valid, self.violations) == (other.is_valid, other.violations)
+
+    def __hash__(self):
+        return hash((self.is_valid, self.violations))
+
+    def __repr__(self):
+        return f"ValidityReport(is_valid={self.is_valid!r}, violations={self.violations!r})"
+
+    def __reduce__(self):
+        return ValidityReport, (self.is_valid, self.violations)
 
 
 @dataclass(frozen=True)
@@ -79,14 +138,14 @@ class QueensConfig:
         return 0 <= y < self.n and self.p[y] == x
 
 
-def _diagonal_report(pairs: list[tuple[str, int]]) -> ValidityReport:
-    counts: Counter[tuple[str, int]] = Counter(pairs)
-    violations = tuple(
-        Violation(kind, index, mult)
-        for (kind, index), mult in sorted(counts.items())
-        if mult > 1
-    )
-    return ValidityReport(is_valid=not violations, violations=violations)
+_VALID = ValidityReport(is_valid=True, violations=())
+
+
+def _diagonal_report(n: int, plus: list[int], minus: list[int]) -> ValidityReport:
+    """Valid exactly when both lists of n diagonal indices are repeat-free."""
+    if len(set(plus)) == n == len(set(minus)):
+        return _VALID
+    return ValidityReport._from_diagonals(plus, minus)
 
 
 def validate_toroidal(config: QueensConfig) -> ValidityReport:
@@ -97,11 +156,9 @@ def validate_toroidal(config: QueensConfig) -> ValidityReport:
     as violations.
     """
     n = config.n
-    pairs = []
-    for y, x in enumerate(config.p):
-        pairs.append(("plus-diagonal", (x + y) % n))
-        pairs.append(("minus-diagonal", (x - y) % n))
-    return _diagonal_report(pairs)
+    plus = [(x + y) % n for y, x in enumerate(config.p)]
+    minus = [(x - y) % n for y, x in enumerate(config.p)]
+    return _diagonal_report(n, plus, minus)
 
 
 def validate_classical(config: QueensConfig) -> ValidityReport:
@@ -110,11 +167,9 @@ def validate_classical(config: QueensConfig) -> ValidityReport:
     Diagonal indices are taken over the integers: ``x + y`` in
     ``0 .. 2n-2`` and ``x - y`` in ``-(n-1) .. n-1``, with no wrap.
     """
-    pairs = []
-    for y, x in enumerate(config.p):
-        pairs.append(("plus-diagonal", x + y))
-        pairs.append(("minus-diagonal", x - y))
-    return _diagonal_report(pairs)
+    plus = [x + y for y, x in enumerate(config.p)]
+    minus = [x - y for y, x in enumerate(config.p)]
+    return _diagonal_report(config.n, plus, minus)
 
 
 def serialize(config: QueensConfig) -> str:

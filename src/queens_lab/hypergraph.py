@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, log
 
-from .construction import BaseParams
+from .construction import capped_params
 from .errors import (
     InvalidHypergraphError,
     IrregularHypergraphError,
@@ -213,7 +213,7 @@ def build_flip_hg(k: int) -> Hypergraph:
     n = 4^k + 1 is never divisible by 4, so it has no perfect matching;
     it is kept as a regularity and codegree test case.
     """
-    params = BaseParams.from_k(k)
+    params = capped_params(k)
     flips = enumerate_flips(params)
     labels = tuple(f"queen-row:{y}" for y in range(params.n))
     edges = tuple(tuple(sorted(f.rows)) for f in flips)
@@ -311,16 +311,17 @@ def _count_cover(
     return rec(start), nodes
 
 
-def _pm_subtree(args: tuple[int, tuple[tuple[int, ...], ...], int, int]) -> int:
-    num_vertices, edges, edge_index, budget = args
-    masks = []
-    for e in edges:
-        m = 0
-        for v in e:
-            m |= 1 << v
-        masks.append(m)
-    count, _ = _count_cover(num_vertices, masks, masks[edge_index], budget)
-    return count
+def _pm_subtree(args: tuple[int, list[int], int, int]) -> tuple[int, int]:
+    """Count the exact covers below one first-level edge, as (count, nodes).
+
+    A subtree that overruns ``budget`` reports ``budget + 1`` nodes: the
+    caller only needs to know that the total exceeds its budget.
+    """
+    num_vertices, masks, start, budget = args
+    try:
+        return _count_cover(num_vertices, masks, start, budget)
+    except SearchBudgetError as exc:
+        return 0, exc.nodes_visited
 
 
 def count_perfect_matchings(
@@ -331,18 +332,23 @@ def count_perfect_matchings(
     Backtracking cover of the lowest-id uncovered vertex; raises
     SearchBudgetError once more than ``max_nodes`` edges have been tried.
     With ``threads`` > 1 the subtrees below the first branching vertex
-    are counted in a process pool (each subtree gets the full budget).
+    are counted in a process pool.  The first-level edges plus the
+    subtree nodes are the serial node count, and the budget applies to
+    that total, so the result or error does not depend on ``threads``.
     """
     if hg.num_vertices == 0:
         return 1
     masks = _edge_masks(hg)
     if threads > 1:
-        first = [i for i, e in enumerate(hg.edges) if 0 in e]
+        first = [m for m in masks if m & 1]
         if not first:
             return 0
-        tasks = [(hg.num_vertices, hg.edges, i, max_nodes) for i in first]
+        tasks = [(hg.num_vertices, masks, m, max_nodes - len(first)) for m in first]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return sum(pool.map(_pm_subtree, tasks))
+            results = list(pool.map(_pm_subtree, tasks))
+        if len(first) + sum(nodes for _, nodes in results) > max_nodes:
+            raise SearchBudgetError(nodes_visited=max_nodes + 1, budget=max_nodes)
+        return sum(count for count, _ in results)
     count, _ = _count_cover(hg.num_vertices, masks, 0, max_nodes)
     return count
 

@@ -8,6 +8,7 @@ row-permutation enumeration for Sudoku grids.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, permutations
 
 
@@ -35,6 +36,22 @@ def naive_toroidal_valid(p) -> bool:
             if (p[y1] - y1) % n == (p[y2] - y2) % n:
                 return False
     return True
+
+
+def reference_violations(p, toroidal: bool) -> tuple[tuple[str, int, int], ...]:
+    """Over-occupied diagonals as (kind, index, multiplicity), sorted by
+    (kind, index): one Counter over all (kind, index) pairs."""
+    n = len(p)
+    counts: Counter[tuple[str, int]] = Counter()
+    for y, x in enumerate(p):
+        plus, minus = x + y, x - y
+        if toroidal:
+            plus, minus = plus % n, minus % n
+        counts["plus-diagonal", plus] += 1
+        counts["minus-diagonal", minus] += 1
+    return tuple(
+        (kind, index, mult) for (kind, index), mult in sorted(counts.items()) if mult > 1
+    )
 
 
 def brute_force_diagonal_exposure(n: int, i: int, j: int) -> int:

@@ -58,6 +58,40 @@ def test_count_domain_error(capsys):
     assert error["code"] == "size-limit"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "8", "--mode", "classical"],
+        ["hg", "--family", "torus", "--params", '{"n": 5}', "--count-pm"],
+        ["verify", "--level", "quick"],
+    ],
+)
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_usage_error(capsys, argv, threads):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + ["--threads", threads])
+    assert info.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--k", "100000"],
+        ["flips", "--count", "--k", "100000"],
+        ["generate", "--t", "1", "--k", "100000"],
+        ["hg", "--family", "flip", "--params", '{"k": 100000}', "--stats"],
+    ],
+)
+def test_oversized_k_is_size_limit_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    assert error["code"] == "size-limit"
+    assert "k = 100000" in error["message"]
+
+
 def test_unknown_subcommand():
     with pytest.raises(SystemExit) as info:
         cli.main(["frobnicate"])

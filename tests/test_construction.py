@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from queens_lab.construction import (
     BaseParams,
     build_base_config,
+    capped_params,
     check_units,
     mod_inverse,
 )
@@ -94,3 +95,13 @@ def test_env_cap_override(monkeypatch):
     with pytest.raises(SizeLimitError):
         build_base_config(3)  # n = 65 > 20
     assert build_base_config(2).n == 17
+
+
+def test_capped_params_limit_matches_board_size_cap(monkeypatch):
+    for cap in list(range(1, 300)) + [65536, 65537, 65538]:
+        monkeypatch.setenv("QUEENS_LAB_CAP", str(cap))
+        largest = max((k for k in range(10) if 4**k + 1 <= cap), default=0)
+        if largest >= 1:
+            assert capped_params(largest).n <= cap
+        with pytest.raises(SizeLimitError, match=f"k = {largest + 1} "):
+            capped_params(largest + 1)

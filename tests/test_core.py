@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from queens_lab.core import (
     QueensConfig,
     Square,
+    ValidityReport,
     Violation,
     parse,
     serialize,
@@ -14,7 +15,7 @@ from queens_lab.core import (
 )
 from queens_lab.errors import InvalidConfigError
 
-from helpers import naive_classical_valid, naive_toroidal_valid
+from helpers import naive_classical_valid, naive_toroidal_valid, reference_violations
 
 configs = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.permutations(list(range(n)))
@@ -143,3 +144,48 @@ def test_agrees_with_pairwise_checker_on_random_permutations():
             config = cfg(p)
             assert validate_classical(config).is_valid == naive_classical_valid(p)
             assert validate_toroidal(config).is_valid == naive_toroidal_valid(p)
+
+
+@pytest.mark.parametrize(
+    "validator,toroidal", [(validate_classical, False), (validate_toroidal, True)]
+)
+def test_reports_match_counter_reference_exhaustive(validator, toroidal):
+    from itertools import permutations
+
+    for n in range(1, 7):
+        for p in permutations(range(n)):
+            report = validator(cfg(p))
+            expected = reference_violations(p, toroidal)
+            assert report.is_valid == (expected == ())
+            assert report.violations == expected
+            assert report.violations == expected  # second read: same tally
+
+
+def test_lazy_report_equality_hash_and_repr():
+    report = validate_classical(cfg([0, 1]))
+    direct = ValidityReport(is_valid=False, violations=(Violation("minus-diagonal", 0, 2),))
+    assert report == direct
+    assert hash(report) == hash(direct)
+    assert repr(report) == repr(direct)
+    assert repr(direct) == (
+        "ValidityReport(is_valid=False, "
+        "violations=(Violation(kind='minus-diagonal', index=0, multiplicity=2),))"
+    )
+
+
+def test_valid_report_equals_constructed_one():
+    expected = ValidityReport(is_valid=True, violations=())
+    assert validate_toroidal(cfg([0, 2, 4, 1, 3])) == expected
+    assert validate_classical(cfg([1, 3, 0, 2])) == expected
+    assert validate_classical(cfg([0, 1])) != expected
+
+
+def test_report_is_immutable_and_pickles():
+    import pickle
+
+    report = validate_toroidal(cfg([0, 1, 2, 3]))
+    with pytest.raises(AttributeError):
+        report.is_valid = True
+    with pytest.raises(AttributeError):
+        del report.violations
+    assert pickle.loads(pickle.dumps(report)) == report

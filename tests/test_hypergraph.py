@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from queens_lab import hypergraph
 from queens_lab.counting import count_toroidal
 from queens_lab.errors import (
     InvalidHypergraphError,
@@ -169,6 +170,29 @@ def test_matching_budget():
     with pytest.raises(SearchBudgetError) as info:
         count_perfect_matchings(build_sudoku_hg(2), max_nodes=5)
     assert info.value.nodes_visited > 5
+
+
+def _outcome(hg, max_nodes, threads):
+    try:
+        return count_perfect_matchings(hg, max_nodes=max_nodes, threads=threads)
+    except SearchBudgetError as exc:
+        return ("budget", exc.nodes_visited, exc.budget)
+
+
+@pytest.mark.parametrize("hg", [build_sudoku_hg(2), build_torus_queens_hg(5)])
+def test_matching_budget_does_not_depend_on_threads(hg):
+    masks = hypergraph._edge_masks(hg)
+    _, serial_nodes = hypergraph._count_cover(hg.num_vertices, masks, 0, 10**9)
+    first_level = sum(m & 1 for m in masks)
+    budgets = {0, first_level - 1, first_level, 2000}
+    budgets |= {serial_nodes - 1, serial_nodes, serial_nodes + 1}
+    for max_nodes in sorted(budgets):
+        serial = _outcome(hg, max_nodes, threads=1)
+        assert _outcome(hg, max_nodes, threads=2) == serial
+        if max_nodes < serial_nodes:
+            assert serial == ("budget", max_nodes + 1, max_nodes)
+        else:
+            assert isinstance(serial, int)
 
 
 def test_empty_hypergraph_has_one_matching():

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .core import QueensConfig, validate_classical
+from .counting import enumerate_solutions
 from .errors import InvalidConfigError
 from .quadrature import DEFAULT_TOL, QuadratureResult, integrate
 
@@ -95,6 +96,33 @@ def concentric_sum(config: QueensConfig) -> int:
 def concentric_lower_bound(n: int) -> float:
     """The ring-counting lower bound (5/4) n^2 - 6n for concentric_sum."""
     return 1.25 * n * n - 6.0 * n
+
+
+def check_lemmas(n: int) -> dict:
+    """Check the three row-profile lemmas on every classical n-queens
+    solution: profile counts sum to n - 1, the diagonal-pair identity,
+    and the concentric-ring inequality.  Returns a JSON-able report."""
+    solutions = enumerate_solutions(n, "classical")
+    floor = concentric_lower_bound(n)
+    identity_ok = True
+    inequality_ok = True
+    sums_ok = True
+    for config in solutions:
+        profiles = attack_profiles(config)
+        if any(p.by_three + p.by_two + p.by_one != n - 1 for p in profiles):
+            sums_ok = False
+        lhs = concentric_sum(config)
+        rhs = sum(diagonal_exposure(n, y, x) for x, y in config.squares())
+        identity_ok = identity_ok and lhs == rhs
+        inequality_ok = inequality_ok and lhs >= floor
+    return {
+        "n": n,
+        "solutions": len(solutions),
+        "profile_sums_ok": sums_ok,
+        "identity_ok": identity_ok,
+        "inequality_ok": inequality_ok,
+        "passed": sums_ok and identity_ok and inequality_ok,
+    }
 
 
 def log_poly_integral(

@@ -125,11 +125,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_construct(args) -> Any:
+def _run_construct(args, parser) -> Any:
     return _config_payload(build_base_config(args.k))
 
 
-def _run_flips(args) -> Any:
+def _run_flips(args, parser) -> Any:
     params = capped_params(args.k)
     all_flips = enumerate_flips(params)
     payload = {"k": args.k, "n": params.n, "count": len(all_flips)}
@@ -138,7 +138,7 @@ def _run_flips(args) -> Any:
     return payload
 
 
-def _run_generate(args) -> Any:
+def _run_generate(args, parser) -> Any:
     params = capped_params(args.k)
     flip_set = greedy_disjoint_flips(params, args.t, seed=args.seed)
     config = apply_flips(build_base_config(args.k), flip_set)
@@ -225,30 +225,6 @@ def _run_hg(args, parser) -> Any:
     return payload
 
 
-def _check_lemmas(n: int) -> dict:
-    solutions = counting.enumerate_solutions(n, "classical")
-    floor = bounds.concentric_lower_bound(n)
-    identity_ok = True
-    inequality_ok = True
-    sums_ok = True
-    for config in solutions:
-        profiles = bounds.attack_profiles(config)
-        if any(p.by_three + p.by_two + p.by_one != n - 1 for p in profiles):
-            sums_ok = False
-        lhs = bounds.concentric_sum(config)
-        rhs = sum(bounds.diagonal_exposure(n, y, x) for x, y in config.squares())
-        identity_ok = identity_ok and lhs == rhs
-        inequality_ok = inequality_ok and lhs >= floor
-    return {
-        "n": n,
-        "solutions": len(solutions),
-        "profile_sums_ok": sums_ok,
-        "identity_ok": identity_ok,
-        "inequality_ok": inequality_ok,
-        "passed": sums_ok and identity_ok and inequality_ok,
-    }
-
-
 def _run_bounds(args, parser) -> Any:
     actions = [
         args.alpha,
@@ -290,7 +266,22 @@ def _run_bounds(args, parser) -> Any:
         }
     if args.n is None:
         parser.error("--check-lemmas requires --n")
-    return _check_lemmas(args.n)
+    return bounds.check_lemmas(args.n)
+
+
+def _run_verify(args, parser) -> Any:
+    return verify.run_verification_suite(args.level, threads=args.threads)
+
+
+_RUNNERS = {
+    "construct": _run_construct,
+    "flips": _run_flips,
+    "generate": _run_generate,
+    "count": _run_count,
+    "hg": _run_hg,
+    "bounds": _run_bounds,
+    "verify": _run_verify,
+}
 
 
 def _render(command: str, payload: Any, fmt: str) -> str:
@@ -315,20 +306,7 @@ def dispatch(argv: list[str]) -> CommandResult:
     params = {k: v for k, v in sorted(vars(args).items()) if k != "command"}
     start = time.perf_counter()
     try:
-        if args.command == "construct":
-            payload = _run_construct(args)
-        elif args.command == "flips":
-            payload = _run_flips(args)
-        elif args.command == "generate":
-            payload = _run_generate(args)
-        elif args.command == "count":
-            payload = _run_count(args, parser)
-        elif args.command == "hg":
-            payload = _run_hg(args, parser)
-        elif args.command == "bounds":
-            payload = _run_bounds(args, parser)
-        else:
-            payload = verify.run_verification_suite(args.level, threads=args.threads)
+        payload = _RUNNERS[args.command](args, parser)
         status = "ok"
     except QueensLabError as exc:
         payload = {"code": exc.code, "message": str(exc)}

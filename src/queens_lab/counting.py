@@ -1,11 +1,14 @@
 """Exact solution counters for the classical and toroidal boards.
 
-The fast path is a row-by-row DFS over bit masks: the classical counter
-shifts its two diagonal masks between rows, the toroidal counter keeps
-two fixed n-bit rings indexed by (x + y) mod n and (x - y) mod n since
-wrap-around diagonals never leave scope.  A brute-force permutation
-filter (oracle_count) provides an independent slow check, and
-enumerate_solutions yields the actual placements in lexicographic order.
+One row-by-row DFS over n-bit masks serves both boards and both uses,
+counting and enumeration.  It keeps the occupied columns and, per
+diagonal family, the columns of the current row that an earlier queen
+attacks along it.  Moving down a row, the mask of one family shifts up a
+bit and the other shifts down; on the classical board the bit pushed off
+the edge is dropped, on the torus it re-enters at the other edge.
+Candidates are tried lowest column first, so enumerate_solutions yields
+placements in lexicographic order.  A brute-force permutation filter
+(oracle_count) provides an independent slow check.
 
 Counting splits cleanly on the first-row choice, so the optional
 ``threads`` argument fans subtrees out to a process pool; the total is a
@@ -17,7 +20,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, repeat
 
 from . import core
 from .construction import board_size_cap
@@ -51,81 +54,85 @@ def _check_size(n: int, cap: int) -> None:
         raise SizeLimitError(f"board size {n} exceeds cap {cap}")
 
 
-def _classical_subtree(args: tuple[int, int]) -> tuple[int, int]:
-    """Count completions after placing the first queen at column x0."""
-    n, x0 = args
+class _LimitReached(Exception):
+    """Unwinds an enumeration once it has recorded ``limit`` solutions."""
+
+
+def _subtree(
+    n: int,
+    toroidal: bool,
+    x0: int,
+    out: list[QueensConfig] | None = None,
+    limit: int | None = None,
+) -> tuple[int, int]:
+    """Count the solutions with the first queen in column x0, as
+    (count, nodes below the first row).
+
+    When ``out`` is given, each solution is also appended to it; the
+    search raises _LimitReached once ``out`` holds ``limit`` of them.
+    """
     full = (1 << n) - 1
+    rows = [0] * n
     nodes = 0
 
-    def rec(cols: int, d1: int, d2: int) -> int:
+    # ``up`` arrives shifted up a row but not yet masked, ``down`` not yet
+    # shifted down, so that on the torus the bit leaving one edge can
+    # re-enter at the other.
+    def rec(y: int, cols: int, up: int, down: int) -> int:
         nonlocal nodes
-        if cols == full:
+        if y == n:
+            if out is not None:
+                out.append(QueensConfig(n=n, p=tuple(r.bit_length() - 1 for r in rows)))
+                if len(out) == limit:
+                    raise _LimitReached
             return 1
-        free = full & ~(cols | d1 | d2)
+        if toroidal:
+            up |= up >> n
+            down |= (down & 1) << n
+        down >>= 1
+        free = full & ~(cols | up | down)
+        if not free:
+            return 0
+        nodes += free.bit_count()
+        up &= full
         total = 0
+        y1 = y + 1
         while free:
             bit = free & -free
             free ^= bit
-            nodes += 1
-            total += rec(cols | bit, ((d1 | bit) << 1) & full, (d2 | bit) >> 1)
+            rows[y] = bit
+            total += rec(y1, cols | bit, (up | bit) << 1, down | bit)
         return total
 
     bit = 1 << x0
-    count = rec(bit, (bit << 1) & full, bit >> 1)
+    rows[0] = bit
+    count = rec(1, bit, bit << 1, bit)
     return count, nodes
 
 
-def _toroidal_subtree(args: tuple[int, int]) -> tuple[int, int]:
-    n, x0 = args
-    nodes = 0
-
-    def rec(y: int, cols: int, plus: int, minus: int) -> int:
-        nonlocal nodes
-        if y == n:
-            return 1
-        total = 0
-        for x in range(n):
-            xb = 1 << x
-            pb = 1 << ((x + y) % n)
-            mb = 1 << ((x - y) % n)
-            if (cols & xb) or (plus & pb) or (minus & mb):
-                continue
-            nodes += 1
-            total += rec(y + 1, cols | xb, plus | pb, minus | mb)
-        return total
-
-    count = rec(1, 1 << x0, 1 << (x0 % n), 1 << (x0 % n))
-    return count, nodes
-
-
-def _count(n: int, mode: str, threads: int) -> tuple[int, int]:
-    worker = _classical_subtree if mode == "classical" else _toroidal_subtree
-    tasks = [(n, x0) for x0 in range(n)]
+def _count(n: int, mode: str, threads: int) -> CountResult:
+    _check_size(n, board_size_cap(DEFAULT_CAP))
+    start = time.perf_counter()
+    toroidal = mode == "toroidal"
     if threads > 1 and n > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, tasks))
+            results = list(pool.map(_subtree, repeat(n), repeat(toroidal), range(n)))
     else:
-        results = [worker(task) for task in tasks]
+        results = [_subtree(n, toroidal, x0) for x0 in range(n)]
     count = sum(c for c, _ in results)
     # Every first-row placement is itself a visited node.
     nodes = n + sum(m for _, m in results)
-    return count, nodes
+    return CountResult(n, mode, count, nodes, time.perf_counter() - start)
 
 
 def count_classical(n: int, threads: int = 1) -> CountResult:
     """Exact number of classical n-queens solutions."""
-    _check_size(n, board_size_cap(DEFAULT_CAP))
-    start = time.perf_counter()
-    count, nodes = _count(n, "classical", threads)
-    return CountResult(n, "classical", count, nodes, time.perf_counter() - start)
+    return _count(n, "classical", threads)
 
 
 def count_toroidal(n: int, threads: int = 1) -> CountResult:
     """Exact number of toroidal n-queens solutions."""
-    _check_size(n, board_size_cap(DEFAULT_CAP))
-    start = time.perf_counter()
-    count, nodes = _count(n, "toroidal", threads)
-    return CountResult(n, "toroidal", count, nodes, time.perf_counter() - start)
+    return _count(n, "toroidal", threads)
 
 
 def oracle_count(n: int, mode: str) -> CountResult:
@@ -155,46 +162,9 @@ def enumerate_solutions(
     if limit == 0:
         return []
     out: list[QueensConfig] = []
-    full = (1 << n) - 1
-    p: list[int] = []
-
-    if mode == "classical":
-
-        def rec(cols: int, d1: int, d2: int) -> bool:
-            if len(p) == n:
-                out.append(QueensConfig(n=n, p=tuple(p)))
-                return limit is not None and len(out) >= limit
-            free = full & ~(cols | d1 | d2)
-            for x in range(n):
-                bit = 1 << x
-                if free & bit:
-                    p.append(x)
-                    done = rec(cols | bit, ((d1 | bit) << 1) & full, (d2 | bit) >> 1)
-                    p.pop()
-                    if done:
-                        return True
-            return False
-
-        rec(0, 0, 0)
-    else:
-
-        def rec_t(cols: int, plus: int, minus: int) -> bool:
-            y = len(p)
-            if y == n:
-                out.append(QueensConfig(n=n, p=tuple(p)))
-                return limit is not None and len(out) >= limit
-            for x in range(n):
-                xb = 1 << x
-                pb = 1 << ((x + y) % n)
-                mb = 1 << ((x - y) % n)
-                if (cols & xb) or (plus & pb) or (minus & mb):
-                    continue
-                p.append(x)
-                done = rec_t(cols | xb, plus | pb, minus | mb)
-                p.pop()
-                if done:
-                    return True
-            return False
-
-        rec_t(0, 0, 0)
+    try:
+        for x0 in range(n):
+            _subtree(n, mode == "toroidal", x0, out, limit)
+    except _LimitReached:
+        pass
     return out

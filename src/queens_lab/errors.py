@@ -2,7 +2,9 @@
 
 Every domain failure raises a subclass of QueensLabError so the CLI can
 map library errors to exit code 1 and keep usage errors (exit code 2)
-separate.
+separate.  Errors that carry extra constructor arguments define
+``__reduce__`` so they survive pickling, and with it a trip back from a
+process-pool worker.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ class NotInvertibleError(QueensLabError):
         self.n = n
         self.gcd = gcd
 
+    def __reduce__(self):
+        return type(self), (self.a, self.n, self.gcd)
+
 
 class FlipError(QueensLabError):
     """A flip operation was applied outside its domain."""
@@ -56,6 +61,9 @@ class GreedyExhaustionError(FlipError):
         self.requested = requested
         self.achieved = achieved
 
+    def __reduce__(self):
+        return type(self), (self.requested, self.achieved)
+
 
 class ReconstructionError(FlipError):
     """A modified board is not reachable from the base by disjoint flips."""
@@ -65,6 +73,10 @@ class ReconstructionError(FlipError):
     def __init__(self, queen, message: str):
         super().__init__(f"queen at {tuple(queen)}: {message}")
         self.queen = queen
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.queen, self.message)
 
 
 class InternalConsistencyError(QueensLabError):
@@ -96,6 +108,9 @@ class SearchBudgetError(QueensLabError):
         )
         self.nodes_visited = nodes_visited
         self.budget = budget
+
+    def __reduce__(self):
+        return type(self), (self.nodes_visited, self.budget)
 
 
 class QuadratureError(QueensLabError):

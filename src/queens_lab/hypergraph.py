@@ -5,10 +5,10 @@ Several exact-cover style problems reduce to counting perfect matchings
 in a d-uniform k-regular hypergraph with small codegrees: toroidal
 queens placements, Latin square transversals, Sudoku squares, Steiner
 systems, and decompositions of the flip structure itself.  The builders
-here produce those hypergraphs with labelled vertex classes, ``stats``
-measures (d, k, codegrees) exactly, ``count_perfect_matchings`` runs an
-exact backtracking cover, and ``entropy_bound_log`` evaluates the
-matching upper bound (k / e^(d-1))^(n/d) in log form.
+here produce those hypergraphs, ``stats`` measures (d, k, codegrees)
+exactly, ``count_perfect_matchings`` runs an exact backtracking cover,
+and ``entropy_bound_log`` evaluates the matching upper bound
+(k / e^(d-1))^(n/d) in log form.
 """
 
 from __future__ import annotations
@@ -35,16 +35,10 @@ DEFAULT_EDGE_CAP = 1_000_000
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """Vertex count plus a duplicate-free list of sorted edges.
-
-    Labels are optional provenance annotations (one per vertex / edge)
-    attached by the builders; they carry no semantics.
-    """
+    """Vertex count plus a duplicate-free list of sorted edges."""
 
     num_vertices: int
     edges: tuple[tuple[int, ...], ...]
-    vertex_labels: tuple[str, ...] | None = None
-    edge_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.num_vertices < 0:
@@ -62,10 +56,6 @@ class Hypergraph:
             if e in seen:
                 raise InvalidHypergraphError(f"duplicate edge {e}")
             seen.add(e)
-        if self.vertex_labels is not None and len(self.vertex_labels) != self.num_vertices:
-            raise InvalidHypergraphError("vertex label count mismatch")
-        if self.edge_labels is not None and len(self.edge_labels) != len(edges):
-            raise InvalidHypergraphError("edge label count mismatch")
 
 
 @dataclass(frozen=True)
@@ -100,19 +90,11 @@ def build_torus_queens_hg(n: int) -> Hypergraph:
     """
     if n < 1:
         raise InvalidHypergraphError(f"board size must be >= 1, got {n}")
-    labels = (
-        [f"row:{i}" for i in range(n)]
-        + [f"col:{i}" for i in range(n)]
-        + [f"diag+:{i}" for i in range(n)]
-        + [f"diag-:{i}" for i in range(n)]
-    )
     edges = []
-    edge_labels = []
     for x in range(n):
         for y in range(n):
             edges.append((y, n + x, 2 * n + (x + y) % n, 3 * n + (x - y) % n))
-            edge_labels.append(f"square:({x},{y})")
-    return Hypergraph(4 * n, tuple(edges), tuple(labels), tuple(edge_labels))
+    return Hypergraph(4 * n, tuple(edges))
 
 
 def validate_latin_square(latin: list[list[int]]) -> int:
@@ -141,18 +123,11 @@ def build_transversal_hg(latin: list[list[int]]) -> Hypergraph:
     """Latin square as a 3-uniform hypergraph over rows, columns and
     symbols; perfect matchings are exactly the transversals."""
     n = validate_latin_square(latin)
-    labels = (
-        [f"row:{i}" for i in range(n)]
-        + [f"col:{i}" for i in range(n)]
-        + [f"sym:{i}" for i in range(n)]
-    )
     edges = []
-    edge_labels = []
     for i in range(n):
         for j in range(n):
             edges.append((i, n + j, 2 * n + latin[i][j]))
-            edge_labels.append(f"cell:({i},{j})")
-    return Hypergraph(3 * n, tuple(edges), tuple(labels), tuple(edge_labels))
+    return Hypergraph(3 * n, tuple(edges))
 
 
 def build_sudoku_hg(b: int) -> Hypergraph:
@@ -167,21 +142,13 @@ def build_sudoku_hg(b: int) -> Hypergraph:
         raise InvalidHypergraphError(f"box size must be >= 2, got {b}")
     n = b * b
     nn = n * n
-    labels = (
-        [f"rc:({i // n},{i % n})" for i in range(nn)]
-        + [f"cs:({i // n},{i % n})" for i in range(nn)]
-        + [f"rs:({i // n},{i % n})" for i in range(nn)]
-        + [f"bs:({i // n},{i % n})" for i in range(nn)]
-    )
     edges = []
-    edge_labels = []
     for r in range(n):
         for c in range(n):
             box = (r // b) * b + c // b
             for s in range(n):
                 edges.append((r * n + c, nn + c * n + s, 2 * nn + r * n + s, 3 * nn + box * n + s))
-                edge_labels.append(f"cell-symbol:({r},{c},{s})")
-    return Hypergraph(4 * nn, tuple(edges), tuple(labels), tuple(edge_labels))
+    return Hypergraph(4 * nn, tuple(edges))
 
 
 def build_steiner_aux_hg(n: int, q: int, r: int, edge_cap: int = DEFAULT_EDGE_CAP) -> Hypergraph:
@@ -196,13 +163,10 @@ def build_steiner_aux_hg(n: int, q: int, r: int, edge_cap: int = DEFAULT_EDGE_CA
         )
     r_sets = list(combinations(range(n), r))
     index = {s: i for i, s in enumerate(r_sets)}
-    labels = tuple("set:" + ",".join(map(str, s)) for s in r_sets)
     edges = []
-    edge_labels = []
     for f in combinations(range(n), q):
         edges.append(tuple(sorted(index[s] for s in combinations(f, r))))
-        edge_labels.append("set:" + ",".join(map(str, f)))
-    return Hypergraph(len(r_sets), tuple(edges), labels, tuple(edge_labels))
+    return Hypergraph(len(r_sets), tuple(edges))
 
 
 def build_flip_hg(k: int) -> Hypergraph:
@@ -215,12 +179,8 @@ def build_flip_hg(k: int) -> Hypergraph:
     """
     params = capped_params(k)
     flips = enumerate_flips(params)
-    labels = tuple(f"queen-row:{y}" for y in range(params.n))
     edges = tuple(tuple(sorted(f.rows)) for f in flips)
-    edge_labels = tuple(
-        f"flip:({f.canonical_id.x},{f.canonical_id.y})" for f in flips
-    )
-    return Hypergraph(params.n, edges, labels, edge_labels)
+    return Hypergraph(params.n, edges)
 
 
 def stats(hg: Hypergraph) -> HypergraphStats:
@@ -251,17 +211,9 @@ def relabel_vertices(hg: Hypergraph, mapping: list[int]) -> Hypergraph:
     """Apply a vertex-id permutation; matching counts are invariant."""
     if sorted(mapping) != list(range(hg.num_vertices)):
         raise InvalidHypergraphError("mapping is not a permutation of the vertex ids")
-    new_labels = None
-    if hg.vertex_labels is not None:
-        slots = [""] * hg.num_vertices
-        for old, new in enumerate(mapping):
-            slots[new] = hg.vertex_labels[old]
-        new_labels = tuple(slots)
     return Hypergraph(
         hg.num_vertices,
         tuple(tuple(sorted(mapping[v] for v in e)) for e in hg.edges),
-        new_labels,
-        hg.edge_labels,
     )
 
 

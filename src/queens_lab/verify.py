@@ -360,31 +360,20 @@ def _bounds_checks(full: bool) -> list[dict]:
     )
 
     hi = 8 if full else 7
-    identity_ok = True
-    inequality_ok = True
-    sums_ok = True
-    per_n = []
-    for n in range(4, hi + 1):
-        solutions = counting.enumerate_solutions(n, "classical")
-        floor = bounds.concentric_lower_bound(n)
-        for config in solutions:
-            profiles = bounds.attack_profiles(config)
-            if any(p.by_three + p.by_two + p.by_one != n - 1 for p in profiles):
-                sums_ok = False
-            lhs = bounds.concentric_sum(config)
-            rhs = sum(bounds.diagonal_exposure(n, y, x) for x, y in config.squares())
-            if lhs != rhs:
-                identity_ok = False
-            if lhs < floor:
-                inequality_ok = False
-        per_n.append([n, len(solutions)])
+    lemmas = [bounds.check_lemmas(n) for n in range(4, hi + 1)]
+    per_n = [[r["n"], r["solutions"]] for r in lemmas]
     checks.append(
-        _check("profile-counts-sum-to-n-minus-1", sums_ok, "by3+by2+by1 == n-1", per_n)
+        _check(
+            "profile-counts-sum-to-n-minus-1",
+            all(r["profile_sums_ok"] for r in lemmas),
+            "by3+by2+by1 == n-1",
+            per_n,
+        )
     )
     checks.append(
         _check(
             "diagonal-pair-identity",
-            identity_ok,
+            all(r["identity_ok"] for r in lemmas),
             "sum(2*by3 + by2) == sum of diagonal exposure over queens",
             per_n,
         )
@@ -392,7 +381,7 @@ def _bounds_checks(full: bool) -> list[dict]:
     checks.append(
         _check(
             "concentric-ring-inequality",
-            inequality_ok,
+            all(r["inequality_ok"] for r in lemmas),
             "sum(2*by3 + by2) >= 1.25 n^2 - 6n",
             per_n,
         )

@@ -13,6 +13,8 @@ from queens_lab.counting import (
 )
 from queens_lab.errors import InvalidConfigError, SizeLimitError
 
+from helpers import naive_classical_valid, naive_toroidal_valid
+
 # Frozen from the permutation-filter oracle, n = 1..9.
 CLASSICAL = [1, 0, 0, 2, 10, 4, 40, 92, 352]
 TOROIDAL = [1, 0, 0, 0, 10, 0, 28, 0, 0]
@@ -131,3 +133,29 @@ def test_enumerate_limit_zero():
     assert enumerate_solutions(5, "toroidal", limit=0) == []
     with pytest.raises(InvalidConfigError):
         enumerate_solutions(5, "toroidal", limit=-1)
+
+
+# Search-tree sizes of the row-by-row DFS, n = 1..10: every legal
+# placement tried, the first row included.
+CLASSICAL_NODES = [1, 2, 5, 16, 53, 152, 551, 2056, 8393, 35538]
+TOROIDAL_NODES = [1, 2, 3, 8, 45, 72, 259, 800, 2349, 9240]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_nodes_visited_pinned(n):
+    assert count_classical(n).nodes_visited == CLASSICAL_NODES[n - 1]
+    assert count_toroidal(n).nodes_visited == TOROIDAL_NODES[n - 1]
+
+
+@pytest.mark.parametrize("mode", ["classical", "toroidal"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumerate_matches_permutation_filter(n, mode):
+    valid = naive_toroidal_valid if mode == "toroidal" else naive_classical_valid
+    expected = [p for p in permutations(range(n)) if valid(p)]
+    assert [config.p for config in enumerate_solutions(n, mode)] == expected
+
+
+def test_enumerate_limit_on_torus_is_a_prefix():
+    full = enumerate_solutions(13, "toroidal")
+    assert len(full) == 4524
+    assert enumerate_solutions(13, "toroidal", limit=3) == full[:3]

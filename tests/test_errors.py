@@ -1,0 +1,39 @@
+import pickle
+
+import pytest
+
+from queens_lab import errors
+from queens_lab.errors import (
+    GreedyExhaustionError,
+    NotInvertibleError,
+    QueensLabError,
+    ReconstructionError,
+    SearchBudgetError,
+)
+
+DOMAIN_ERRORS = sorted(
+    (
+        obj
+        for obj in vars(errors).values()
+        if isinstance(obj, type) and issubclass(obj, QueensLabError)
+    ),
+    key=lambda cls: cls.__name__,
+)
+
+CONSTRUCTOR_ARGS = {
+    NotInvertibleError: ((2, 4, 2), {}),
+    GreedyExhaustionError: ((3, 1), {}),
+    ReconstructionError: (((1, 2), "x"), {}),
+    SearchBudgetError: ((), {"nodes_visited": 5, "budget": 4}),
+}
+
+
+@pytest.mark.parametrize("cls", DOMAIN_ERRORS, ids=lambda cls: cls.__name__)
+def test_domain_error_survives_pickle(cls):
+    args, kwargs = CONSTRUCTOR_ARGS.get(cls, (("something failed",), {}))
+    exc = cls(*args, **kwargs)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls
+    assert str(back) == str(exc)
+    assert back.code == exc.code
+    assert vars(back) == vars(exc)

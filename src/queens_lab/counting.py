@@ -10,17 +10,32 @@ Candidates are tried lowest column first, so enumerate_solutions yields
 placements in lexicographic order.  A brute-force permutation filter
 (oracle_count) provides an independent slow check.
 
-Counting splits cleanly on the first-row choice, so the optional
-``threads`` argument fans subtrees out to a process pool; the total is a
-commutative sum and does not depend on the worker count.
+The search is reduced by symmetry.  Translation x -> x + c maps toroidal
+solutions onto toroidal solutions, and the mirror x -> n - 1 - x maps
+classical ones onto classical ones; either maps the search tree below one
+first-row column onto the tree below its image, node for node.  So the
+torus searches only the first-row column 0, weighted by n, and the
+classical board the columns x0 < ceil(n / 2), each weighted by 2 except
+the middle column of an odd board.  Each of those subtrees is split
+again on the second row into (x0, x1) prefixes: one ordered task list
+serves the serial loop, the process pool that the optional ``threads``
+argument fans the ~n^2 / 2 tasks out to, and enumerate_solutions, which
+rebuilds the other first-row blocks from the searched ones.  Counts are
+weighted commutative sums and do not depend on the worker count.
+
+``nodes_visited`` is the size of the full, unreduced row-by-row tree:
+every legal placement tried, the first row included.  It is computed
+through the symmetry, as the weighted sum of the searched subtrees.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations, repeat
+from itertools import chain, islice, permutations, repeat
+from typing import Iterator
 
 from . import core
 from .construction import board_size_cap
@@ -58,22 +73,64 @@ class _LimitReached(Exception):
     """Unwinds an enumeration once it has recorded ``limit`` solutions."""
 
 
+def _attacks(n: int, toroidal: bool, prefix: tuple[int, ...]) -> tuple[int, int, int]:
+    """Masks of the columns of row len(prefix) that the queens of the rows
+    ``prefix`` attack: along their column, along the diagonal on which the
+    column grows with the row, and along the one on which it shrinks."""
+    r = len(prefix)
+    cols = up = down = 0
+    for y, x in enumerate(prefix):
+        d = r - y
+        cols |= 1 << x
+        if toroidal:
+            up |= 1 << (x + d) % n
+            down |= 1 << (x - d) % n
+        else:
+            if x + d < n:
+                up |= 1 << (x + d)
+            if x >= d:
+                down |= 1 << (x - d)
+    return cols, up, down
+
+
+def _tasks(n: int, toroidal: bool) -> list[tuple[tuple[int, ...], int]]:
+    """The searched prefixes of first-row and second-row columns, in
+    lexicographic order, each with the number of first-row columns whose
+    subtrees its own subtree stands for."""
+    if n == 1:
+        return [((0,), 1)]
+    if toroidal:
+        # Translation: column 0 stands for every first-row column.
+        firsts = [(0, n)]
+    else:
+        # Mirror: x0 stands for itself and n - 1 - x0.
+        firsts = [(x0, 1 if 2 * x0 == n - 1 else 2) for x0 in range((n + 1) // 2)]
+    full = (1 << n) - 1
+    tasks = []
+    for x0, weight in firsts:
+        cols, up, down = _attacks(n, toroidal, (x0,))
+        free = full & ~(cols | up | down)
+        tasks += [((x0, x1), weight) for x1 in range(n) if free >> x1 & 1]
+    return tasks
+
+
 def _subtree(
     n: int,
     toroidal: bool,
-    x0: int,
-    out: list[QueensConfig] | None = None,
+    prefix: tuple[int, ...],
+    out: list[tuple[int, ...]] | None = None,
     limit: int | None = None,
 ) -> tuple[int, int]:
-    """Count the solutions with the first queen in column x0, as
-    (count, nodes below the first row).
+    """Count the solutions whose first rows hold the legal placement
+    ``prefix``, as (count, nodes below the first row); each prefix row
+    after the first is one of those nodes.
 
-    When ``out`` is given, each solution is also appended to it; the
+    When ``out`` is given, each solution's p is also appended to it; the
     search raises _LimitReached once ``out`` holds ``limit`` of them.
     """
     full = (1 << n) - 1
-    rows = [0] * n
-    nodes = 0
+    rows = [1 << x for x in prefix] + [0] * (n - len(prefix))
+    nodes = len(prefix) - 1
 
     # ``up`` arrives shifted up a row but not yet masked, ``down`` not yet
     # shifted down, so that on the torus the bit leaving one edge can
@@ -82,7 +139,7 @@ def _subtree(
         nonlocal nodes
         if y == n:
             if out is not None:
-                out.append(QueensConfig(n=n, p=tuple(r.bit_length() - 1 for r in rows)))
+                out.append(tuple(r.bit_length() - 1 for r in rows))
                 if len(out) == limit:
                     raise _LimitReached
             return 1
@@ -104,24 +161,44 @@ def _subtree(
             total += rec(y1, cols | bit, (up | bit) << 1, down | bit)
         return total
 
-    bit = 1 << x0
-    rows[0] = bit
-    count = rec(1, bit, bit << 1, bit)
+    cols, up, down = _attacks(n, toroidal, prefix)
+    # rec shifts ``down`` down a row on entry.
+    count = rec(len(prefix), cols, up, down << 1)
     return count, nodes
+
+
+def _images(
+    n: int, toroidal: bool, found: list[tuple[int, ...]]
+) -> Iterator[tuple[int, ...]]:
+    """The solutions outside the searched first-row columns, in
+    lexicographic order, as images of the searched solutions ``found``."""
+    if toroidal:
+        for c in range(1, n):
+            yield from sorted(tuple((x + c) % n for x in p) for p in found)
+    else:
+        # The mirror reverses lexicographic order; the middle column of an
+        # odd board is its own image.
+        for p in reversed(found):
+            if 2 * p[0] != n - 1:
+                yield tuple(n - 1 - x for x in p)
 
 
 def _count(n: int, mode: str, threads: int) -> CountResult:
     _check_size(n, board_size_cap(DEFAULT_CAP))
     start = time.perf_counter()
     toroidal = mode == "toroidal"
-    if threads > 1 and n > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_subtree, repeat(n), repeat(toroidal), range(n)))
+    tasks = _tasks(n, toroidal)
+    prefixes = [prefix for prefix, _ in tasks]
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_subtree, repeat(n), repeat(toroidal), prefixes))
     else:
-        results = [_subtree(n, toroidal, x0) for x0 in range(n)]
-    count = sum(c for c, _ in results)
-    # Every first-row placement is itself a visited node.
-    nodes = n + sum(m for _, m in results)
+        results = [_subtree(n, toroidal, prefix) for prefix in prefixes]
+    count = sum(w * c for (_, w), (c, _) in zip(tasks, results))
+    # Every first-row placement is itself a visited node, and the weights
+    # of the searched first-row columns sum to n.
+    nodes = n + sum(w * m for (_, w), (_, m) in zip(tasks, results))
     return CountResult(n, mode, count, nodes, time.perf_counter() - start)
 
 
@@ -161,10 +238,13 @@ def enumerate_solutions(
         raise InvalidConfigError(f"limit must be >= 0, got {limit}")
     if limit == 0:
         return []
-    out: list[QueensConfig] = []
+    toroidal = mode == "toroidal"
+    found: list[tuple[int, ...]] = []
     try:
-        for x0 in range(n):
-            _subtree(n, mode == "toroidal", x0, out, limit)
+        for prefix, _ in _tasks(n, toroidal):
+            _subtree(n, toroidal, prefix, found, limit)
     except _LimitReached:
         pass
-    return out
+    rest = None if limit is None else limit - len(found)
+    images = islice(_images(n, toroidal, found), rest)
+    return [QueensConfig(n=n, p=p) for p in chain(found, images)]

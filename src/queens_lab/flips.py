@@ -84,7 +84,12 @@ def companion_pair(params: BaseParams, y1: int, y2: int) -> tuple[int, int]:
     n, m = params.n, params.m
     if y1 % n == y2 % n:
         raise FlipError(f"companion pair requires distinct rows, got {y1} and {y2}")
-    inv = mod_inverse(m + 1, n)
+    return _companion_pair(params, mod_inverse(m + 1, n), y1, y2)
+
+
+def _companion_pair(params: BaseParams, inv: int, y1: int, y2: int) -> tuple[int, int]:
+    """companion_pair for distinct rows, given inv = (m + 1)^-1 mod n."""
+    n, m = params.n, params.m
     y3 = (inv * (m * y2 + y1)) % n
     y4 = (inv * (m * y1 + y2)) % n
     _verify_balance(params, y1 % n, y2 % n, y3, y4)
@@ -112,9 +117,9 @@ def _verify_balance(params: BaseParams, y1: int, y2: int, y3: int, y4: int) -> N
         )
 
 
-def _flip_from_pair(params: BaseParams, y1: int, y2: int) -> Flip:
+def _flip_from_pair(params: BaseParams, inv: int, y1: int, y2: int) -> Flip:
     n, m = params.n, params.m
-    y3, y4 = companion_pair(params, y1, y2)
+    y3, y4 = _companion_pair(params, inv, y1, y2)
     col = {y: (m * y) % n for y in (y1, y2, y3, y4)}
     removed = tuple(
         sorted((Square(col[y], y) for y in (y1, y2, y3, y4)), key=lambda s: s.y)
@@ -145,7 +150,7 @@ def flip_for_square(params: BaseParams, square: Square) -> Flip:
     y1 = (mod_inverse(m, n) * x) % n
     if y1 == y:
         raise FlipError(f"square {tuple(square)} is occupied in the base configuration")
-    flip = _flip_from_pair(params, y1, y)
+    flip = _flip_from_pair(params, mod_inverse(m + 1, n), y1, y)
     if square not in flip.added:
         raise InternalConsistencyError(f"flip for {tuple(square)} does not add it")
     return flip
@@ -158,10 +163,11 @@ def enumerate_flips(params: BaseParams) -> list[Flip]:
     companion), so deduplication by canonical id halves the pair count.
     """
     n = params.n
+    inv = mod_inverse(params.m + 1, n)
     by_id: dict[Square, Flip] = {}
     for y1 in range(n):
         for y2 in range(y1 + 1, n):
-            flip = _flip_from_pair(params, y1, y2)
+            flip = _flip_from_pair(params, inv, y1, y2)
             by_id.setdefault(flip.canonical_id, flip)
     flips = [by_id[key] for key in sorted(by_id)]
     if len(flips) != n * (n - 1) // 4:

@@ -14,6 +14,7 @@ and ``entropy_bound_log`` evaluates the matching upper bound
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -284,19 +285,19 @@ def count_perfect_matchings(
     Backtracking cover of the lowest-id uncovered vertex; raises
     SearchBudgetError once more than ``max_nodes`` edges have been tried.
     With ``threads`` > 1 the subtrees below the first branching vertex
-    are counted in a process pool.  The first-level edges plus the
-    subtree nodes are the serial node count, and the budget applies to
-    that total, so the result or error does not depend on ``threads``.
+    are counted in a process pool of at most one worker per subtree and
+    per CPU.  The first-level edges plus the subtree nodes are the serial
+    node count, and the budget applies to that total, so the result or
+    error does not depend on ``threads``.
     """
     if hg.num_vertices == 0:
         return 1
     masks = _edge_masks(hg)
-    if threads > 1:
-        first = [m for m in masks if m & 1]
-        if not first:
-            return 0
+    first = [m for m in masks if m & 1]
+    workers = min(threads, len(first), os.cpu_count() or 1)
+    if workers > 1:
         tasks = [(hg.num_vertices, masks, m, max_nodes - len(first)) for m in first]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_pm_subtree, tasks))
         if len(first) + sum(nodes for _, nodes in results) > max_nodes:
             raise SearchBudgetError(nodes_visited=max_nodes + 1, budget=max_nodes)

@@ -150,3 +150,24 @@ EXPOSURE_5 = [
     [4, 6, 6, 6, 4],
     [4, 4, 4, 4, 4],
 ]
+
+
+def recording_pool(sizes: list):
+    """A stand-in for ProcessPoolExecutor that starts no process: each pool
+    appends its ``max_workers`` to ``sizes`` and runs ``map`` in this
+    process."""
+
+    class Pool:
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    return Pool

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from queens_lab import bounds
 from queens_lab.bounds import (
     attack_profiles,
     classical_alpha,
@@ -16,7 +17,7 @@ from queens_lab.bounds import (
 )
 from queens_lab.core import QueensConfig
 from queens_lab.counting import enumerate_solutions
-from queens_lab.errors import InvalidConfigError
+from queens_lab.errors import InvalidConfigError, SizeLimitError
 
 from helpers import EXPOSURE_5, brute_force_diagonal_exposure
 
@@ -180,3 +181,15 @@ def test_matching_integral_guards():
         hypergraph_integral_check(5, 0, 0.0)
     with pytest.raises(InvalidConfigError):
         hypergraph_integral_check(5, 2, -1.0)
+
+
+def test_check_lemmas_is_capped_before_it_searches(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("check_lemmas searched past its cap")
+
+    monkeypatch.setattr(bounds, "enumerate_solutions", no_search)
+    for n in (bounds.LEMMA_CAP + 1, 16, 10**9):
+        with pytest.raises(SizeLimitError, match="lemma-check cap"):
+            bounds.check_lemmas(n)
+    monkeypatch.setattr(bounds, "enumerate_solutions", lambda n, mode: [])
+    assert bounds.check_lemmas(bounds.LEMMA_CAP)["passed"] is True

@@ -266,3 +266,9 @@ def test_dispatch_result_fields():
     assert result.status == "ok"
     assert result.params["k"] == 1
     assert result.elapsed >= 0.0
+
+
+def test_check_lemmas_above_cap_is_size_limit_error(capsys):
+    code, out, err = run(capsys, ["bounds", "--check-lemmas", "--n", "16"])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["code"] == "size-limit"

@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from queens_lab import counting
 from queens_lab.core import validate_classical, validate_toroidal
 from queens_lab.counting import (
     CountResult,
@@ -13,7 +14,7 @@ from queens_lab.counting import (
 )
 from queens_lab.errors import InvalidConfigError, SizeLimitError
 
-from helpers import naive_classical_valid, naive_toroidal_valid
+from helpers import naive_classical_valid, naive_toroidal_valid, recording_pool
 
 # Frozen from the permutation-filter oracle, n = 1..9.
 CLASSICAL = [1, 0, 0, 2, 10, 4, 40, 92, 352]
@@ -159,3 +160,87 @@ def test_enumerate_limit_on_torus_is_a_prefix():
     full = enumerate_solutions(13, "toroidal")
     assert len(full) == 4524
     assert enumerate_solutions(13, "toroidal", limit=3) == full[:3]
+
+
+def _second_rows(n, toroidal, x0):
+    """Second-row columns that the first-row queen at x0 does not attack."""
+    if toroidal:
+        return [x1 for x1 in range(n) if (x1 - x0) % n not in (0, 1, n - 1)]
+    return [x1 for x1 in range(n) if abs(x1 - x0) > 1]
+
+
+@pytest.mark.parametrize("mode", ["classical", "toroidal"])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_symmetric_subtrees_match_the_unreduced_search(n, mode):
+    toroidal = mode == "toroidal"
+    # The unreduced reference: every first-row column searched.
+    per_x0 = [counting._subtree(n, toroidal, (x0,)) for x0 in range(n)]
+    result = counting._count(n, mode, 1)
+    assert (result.count, result.nodes_visited) == (
+        sum(c for c, _ in per_x0),
+        n + sum(m for _, m in per_x0),
+    )
+    per_prefix = {
+        (x0, x1): counting._subtree(n, toroidal, (x0, x1))
+        for x0 in range(n)
+        for x1 in _second_rows(n, toroidal, x0)
+    }
+    for (x0, x1), found in per_prefix.items():
+        if toroidal:
+            for c in range(n):
+                assert per_prefix[(x0 + c) % n, (x1 + c) % n] == found
+        else:
+            assert per_prefix[n - 1 - x0, n - 1 - x1] == found
+    if n > 1:
+        for x0 in range(n):
+            split = [per_prefix[x0, x1] for x1 in _second_rows(n, toroidal, x0)]
+            assert per_x0[x0] == (sum(c for c, _ in split), sum(m for _, m in split))
+
+
+@pytest.mark.parametrize("count, n", [(count_toroidal, 13), (count_classical, 11)])
+def test_two_workers_give_the_serial_count_and_nodes(count, n):
+    serial = count(n, threads=1)
+    pooled = count(n, threads=2)
+    assert (pooled.count, pooled.nodes_visited) == (serial.count, serial.nodes_visited)
+
+
+# Limits just inside and past the last searched first-row block: classical
+# n = 8 searches p[0] < 4 (46 solutions), toroidal n = 7 only p[0] = 0
+# (4 solutions); the rest are mirrored or translated.
+@pytest.mark.parametrize(
+    "n, mode, limit",
+    [(8, "classical", 46), (8, "classical", 47), (8, "classical", 50),
+     (7, "toroidal", 4), (7, "toroidal", 5), (7, "toroidal", 9)],
+)
+def test_enumerate_limit_across_symmetry_blocks(n, mode, limit):
+    valid = naive_toroidal_valid if mode == "toroidal" else naive_classical_valid
+    expected = [p for p in permutations(range(n)) if valid(p)]
+    assert [config.p for config in enumerate_solutions(n, mode, limit)] == expected[:limit]
+
+
+def test_enumerate_limit_around_the_odd_middle_column():
+    full = [config.p for config in enumerate_solutions(9, "classical")]
+    assert len(set(full)) == 352 and full == sorted(full)
+    for x0 in (4, 5):
+        start = sum(1 for p in full if p[0] < x0)
+        for limit in (start - 1, start, start + 1):
+            prefix = enumerate_solutions(9, "classical", limit)
+            assert [config.p for config in prefix] == full[:limit]
+
+
+def test_pool_size_is_clamped_to_tasks_and_cpus(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", recording_pool(sizes))
+    serial = count_classical(8)
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 3)
+    pooled = count_classical(8, threads=64)
+    assert sizes == [3]
+    assert (pooled.count, pooled.nodes_visited) == (serial.count, serial.nodes_visited)
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 64)
+    # n = 4 has the three prefixes (0, 2), (0, 3) and (1, 3), n = 3 only (0, 2).
+    assert count_classical(4, threads=64).count == 2
+    assert count_classical(3, threads=64).count == 0
+    assert sizes == [3, 3]
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: None)
+    assert count_toroidal(7, threads=64).count == 28
+    assert sizes == [3, 3]

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from queens_lab import flips
 from queens_lab.construction import BaseParams, build_base_config
 from queens_lab.core import QueensConfig, Square, validate_toroidal
 from queens_lab.errors import (
@@ -244,3 +245,16 @@ def test_canonical_ids_sorted_in_flipset():
             used |= f.rows
     flip_set = FlipSet(flips=tuple(chosen))
     assert list(flip_set.canonical_ids()) == sorted(flip_set.canonical_ids())
+
+
+def test_enumerate_flips_inverts_m_plus_one_once(monkeypatch):
+    calls = []
+    inverse = flips.mod_inverse
+
+    def counted(a, n):
+        calls.append((a, n))
+        return inverse(a, n)
+
+    monkeypatch.setattr(flips, "mod_inverse", counted)
+    assert len(enumerate_flips(P2)) == 17 * 16 // 4
+    assert calls == [(P2.m + 1, P2.n)]

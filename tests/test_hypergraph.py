@@ -31,6 +31,7 @@ from helpers import (
     independent_sts_count,
     independent_sudoku_count,
     independent_transversal_count,
+    recording_pool,
 )
 
 
@@ -229,3 +230,21 @@ def test_exchange_roundtrip():
         from_json("{}")
     with pytest.raises(InvalidHypergraphError):
         from_json('{"n":2,"edges":[["a"]]}')
+
+
+def test_matching_pool_is_clamped_to_subtrees_and_cpus(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(hypergraph, "ProcessPoolExecutor", recording_pool(sizes))
+    torus = build_torus_queens_hg(5)
+    monkeypatch.setattr(hypergraph.os, "cpu_count", lambda: 64)
+    # Vertex 0 is row 0 of the board, so five edges branch first.
+    assert count_perfect_matchings(torus, threads=64) == 10
+    assert sizes == [5]
+    monkeypatch.setattr(hypergraph.os, "cpu_count", lambda: 2)
+    assert count_perfect_matchings(torus, threads=64) == 10
+    assert sizes == [5, 2]
+    monkeypatch.setattr(hypergraph.os, "cpu_count", lambda: 1)
+    sudoku = build_sudoku_hg(2)
+    for max_nodes in (5, 2000):
+        assert _outcome(sudoku, max_nodes, threads=64) == _outcome(sudoku, max_nodes, threads=1)
+    assert sizes == [5, 2]

@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-import time
 from dataclasses import dataclass
 from typing import Any
 
@@ -31,7 +30,6 @@ class CommandResult:
     params: dict[str, Any]
     payload: Any
     status: str
-    elapsed: float
 
 
 def _read_input(path: str | None) -> str:
@@ -304,7 +302,6 @@ def dispatch(argv: list[str]) -> CommandResult:
     parser = _build_parser()
     args = parser.parse_args(argv)
     params = {k: v for k, v in sorted(vars(args).items()) if k != "command"}
-    start = time.perf_counter()
     try:
         payload = _RUNNERS[args.command](args, parser)
         status = "ok"
@@ -316,7 +313,6 @@ def dispatch(argv: list[str]) -> CommandResult:
         params=params,
         payload=payload,
         status=status,
-        elapsed=time.perf_counter() - start,
     )
 
 

@@ -92,27 +92,22 @@ def check_units(params: BaseParams) -> bool:
     return True
 
 
-def capped_params(k: int, max_k: int | None = None) -> BaseParams:
-    """BaseParams for k, refused when k exceeds ``max_k``.
-
-    Without ``max_k`` the limit is the largest k whose board
-    n = 4^k + 1 fits ``board_size_cap``.  k is checked before 4^k is
-    computed, so an absurd k costs nothing.
+def capped_params(k: int) -> BaseParams:
+    """BaseParams for k, refused when its board n = 4^k + 1 exceeds
+    ``board_size_cap``.  k is checked before 4^k is computed, so an
+    absurd k costs nothing.
     """
-    if max_k is None:
-        cap = board_size_cap(4**DEFAULT_MAX_K + 1)
-        # 4^k + 1 <= cap  <=>  2k <= floor(log2(cap - 1))
-        max_k = (max(cap - 1, 1).bit_length() - 1) // 2
-        if k > max_k:
-            raise SizeLimitError(
-                f"k = {k} exceeds cap {max_k} (board size 4^k + 1 must be <= {cap})"
-            )
-    elif k > max_k:
-        raise SizeLimitError(f"k = {k} exceeds cap {max_k}")
+    cap = board_size_cap(4**DEFAULT_MAX_K + 1)
+    # 4^k + 1 <= cap  <=>  2k <= floor(log2(cap - 1))
+    max_k = (max(cap - 1, 1).bit_length() - 1) // 2
+    if k > max_k:
+        raise SizeLimitError(
+            f"k = {k} exceeds cap {max_k} (board size 4^k + 1 must be <= {cap})"
+        )
     return BaseParams.from_k(k)
 
 
-def build_base_config(k: int, max_k: int | None = None) -> QueensConfig:
+def build_base_config(k: int) -> QueensConfig:
     """Build the base placement p[y] = 2^k * y mod n on the n = 4^k + 1 board."""
-    params = capped_params(k, max_k)
+    params = capped_params(k)
     return QueensConfig(n=params.n, p=tuple((params.m * y) % params.n for y in range(params.n)))

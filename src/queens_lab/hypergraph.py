@@ -34,6 +34,13 @@ DEFAULT_NODE_BUDGET = 50_000_000
 DEFAULT_EDGE_CAP = 1_000_000
 
 
+def _check_edge_cap(size: int, what: str, edge_cap: int) -> None:
+    """Refuse an instance of ``size`` edges (or vertices) above
+    ``edge_cap`` before anything of that size is allocated."""
+    if size > edge_cap:
+        raise SizeLimitError(f"{what} exceeds the edge cap {edge_cap}")
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """Vertex count plus a duplicate-free list of sorted edges."""
@@ -91,6 +98,7 @@ def build_torus_queens_hg(n: int) -> Hypergraph:
     """
     if n < 1:
         raise InvalidHypergraphError(f"board size must be >= 1, got {n}")
+    _check_edge_cap(n * n, f"torus board of size {n}", DEFAULT_EDGE_CAP)
     edges = []
     for x in range(n):
         for y in range(n):
@@ -117,6 +125,7 @@ def validate_latin_square(latin: list[list[int]]) -> int:
 
 
 def cyclic_latin_square(n: int) -> list[list[int]]:
+    _check_edge_cap(max(n, 0) ** 2, f"cyclic Latin square of order {n}", DEFAULT_EDGE_CAP)
     return [[(i + j) % n for j in range(n)] for i in range(n)]
 
 
@@ -141,6 +150,7 @@ def build_sudoku_hg(b: int) -> Hypergraph:
     """
     if b < 2:
         raise InvalidHypergraphError(f"box size must be >= 2, got {b}")
+    _check_edge_cap(b**6, f"Sudoku of box size {b}", DEFAULT_EDGE_CAP)
     n = b * b
     nn = n * n
     edges = []
@@ -158,10 +168,8 @@ def build_steiner_aux_hg(n: int, q: int, r: int, edge_cap: int = DEFAULT_EDGE_CA
     q-subset bundling all its r-subsets."""
     if not 0 < r < q < n:
         raise InvalidHypergraphError(f"need 0 < r < q < n, got ({n}, {q}, {r})")
-    if comb(n, r) > edge_cap or comb(n, q) > edge_cap:
-        raise SizeLimitError(
-            f"({n},{q},{r}) exceeds the edge cap {edge_cap}"
-        )
+    _check_edge_cap(comb(n, r), f"({n},{q},{r})", edge_cap)
+    _check_edge_cap(comb(n, q), f"({n},{q},{r})", edge_cap)
     r_sets = list(combinations(range(n), r))
     index = {s: i for i, s in enumerate(r_sets)}
     edges = []
@@ -179,6 +187,7 @@ def build_flip_hg(k: int) -> Hypergraph:
     it is kept as a regularity and codegree test case.
     """
     params = capped_params(k)
+    _check_edge_cap(params.n * (params.n - 1) // 4, f"flip hypergraph at k = {k}", DEFAULT_EDGE_CAP)
     flips = enumerate_flips(params)
     edges = tuple(tuple(sorted(f.rows)) for f in flips)
     return Hypergraph(params.n, edges)
@@ -347,4 +356,7 @@ def from_json(text: str) -> Hypergraph:
         isinstance(e, list) and all(isinstance(v, int) for v in e) for e in raw["edges"]
     ):
         raise InvalidHypergraphError('field "edges": must be an array of integer arrays')
+    num_edges = len(raw["edges"])
+    _check_edge_cap(raw["n"], f'hypergraph JSON with {raw["n"]} vertices', DEFAULT_EDGE_CAP)
+    _check_edge_cap(num_edges, f"hypergraph JSON with {num_edges} edges", DEFAULT_EDGE_CAP)
     return Hypergraph(raw["n"], tuple(tuple(e) for e in raw["edges"]))

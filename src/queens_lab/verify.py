@@ -4,7 +4,8 @@
 ``full`` raises them to n <= 9 / k <= 3 and adds the order-4 Sudoku
 matching count.  The report contains only exact values and booleans
 (no timings), so repeated runs are byte-identical regardless of the
-worker count.
+worker count.  Each fixture (fast count, base board, flip list,
+hypergraph) is built once and released with the section that reads it.
 """
 
 from __future__ import annotations
@@ -18,326 +19,212 @@ from .errors import InvalidConfigError
 
 LEVELS = ("quick", "full")
 
+# Each claim: its name, the hypergraph it is about, and the claimed
+# [vertices, edges, d, k, max codegree], or a prefix of that list.
+_CLAIMS = (
+    ("torus-5", "torus-5", [20, 25, 4, 5, 1]),
+    ("transversal-3", "transversal-3", [9, 9, 3, 3, 1]),
+    ("steiner-7-3-2", "steiner-7-3-2", [21, 35, 3, 5, 1]),
+    ("flip-1", "flip-1", [5, 5, 4, 4, 3]),
+    ("flip-2-regularity", "flip-2", [17, 68, 4, 16]),
+    ("sudoku-2", "sudoku-2", [64, 64, 4, 4, 2]),
+)
+
 
 def _check(name: str, passed: bool, expected, actual) -> dict:
     return {"name": name, "passed": bool(passed), "expected": expected, "actual": actual}
 
 
-def _counting_checks(n_max: int, polya_max: int, threads: int) -> list[dict]:
-    checks = []
-    fast_c = {n: counting.count_classical(n, threads=threads).count for n in range(1, polya_max + 1)}
-    fast_t = {n: counting.count_toroidal(n, threads=threads).count for n in range(1, polya_max + 1)}
-    oracle_c = {n: counting.oracle_count(n, "classical").count for n in range(1, n_max + 1)}
-    oracle_t = {n: counting.oracle_count(n, "toroidal").count for n in range(1, n_max + 1)}
-    checks.append(
-        _check(
+def _agree(name: str, rows: list[tuple]) -> dict:
+    """Row for (key, want, got) triples: passes when every got == want."""
+    return _check(
+        name,
+        all(want == got for _, want, got in rows),
+        [[key, want] for key, want, _ in rows],
+        [[key, got] for key, _, got in rows],
+    )
+
+
+def _all_true(name: str, results: dict) -> dict:
+    """Row for a keyed set of booleans: passes when all are True."""
+    return _agree(name, [(key, True, ok) for key, ok in sorted(results.items())])
+
+
+def _counting_checks(n_max: int, fast_c: dict, fast_t: dict) -> list[dict]:
+    oracle = {
+        mode: {n: counting.oracle_count(n, mode).count for n in range(1, n_max + 1)}
+        for mode in counting.MODES
+    }
+    return [
+        _agree(
             "count-classical-matches-oracle",
-            all(fast_c[n] == oracle_c[n] for n in oracle_c),
-            [[n, oracle_c[n]] for n in sorted(oracle_c)],
-            [[n, fast_c[n]] for n in sorted(oracle_c)],
-        )
-    )
-    checks.append(
-        _check(
+            [(n, want, fast_c[n]) for n, want in oracle["classical"].items()],
+        ),
+        _agree(
             "count-toroidal-matches-oracle",
-            all(fast_t[n] == oracle_t[n] for n in oracle_t),
-            [[n, oracle_t[n]] for n in sorted(oracle_t)],
-            [[n, fast_t[n]] for n in sorted(oracle_t)],
-        )
-    )
-    checks.append(
+            [(n, want, fast_t[n]) for n, want in oracle["toroidal"].items()],
+        ),
         _check(
             "toroidal-count-at-most-classical",
             all(fast_t[n] <= fast_c[n] for n in fast_c),
             "T(n) <= Q(n)",
-            [[n, fast_t[n], fast_c[n]] for n in sorted(fast_c)],
-        )
-    )
-    zero_pattern = {n: math.gcd(n, 6) > 1 for n in fast_t}
-    checks.append(
-        _check(
+            [[n, fast_t[n], fast_c[n]] for n in fast_c],
+        ),
+        _agree(
             "toroidal-zero-iff-shares-factor-with-six",
-            all((fast_t[n] == 0) == zero_pattern[n] for n in fast_t),
-            [[n, zero_pattern[n]] for n in sorted(fast_t)],
-            [[n, fast_t[n] == 0] for n in sorted(fast_t)],
-        )
-    )
-    return checks
+            [(n, math.gcd(n, 6) > 1, t == 0) for n, t in fast_t.items()],
+        ),
+    ]
 
 
-def _construction_checks(k_max: int) -> list[dict]:
-    checks = []
-    validity = {}
-    additivity = {}
-    for k in range(1, k_max + 1):
-        config = build_base_config(k)
-        validity[k] = core.validate_toroidal(config).is_valid
-        n = config.n
-        additivity[k] = all(
-            config.p[(y1 + y2) % n] == (config.p[y1] + config.p[y2]) % n
+def _board_checks(bases: dict, full: bool) -> list[dict]:
+    """Base boards and their flips; one flip list per k."""
+    valid, additive = {}, {}
+    counts = []
+    single_valid, cover_exact, intersect_ok = {}, {}, {}
+    for k, base in bases.items():
+        n = base.n
+        valid[k] = core.validate_toroidal(base).is_valid
+        additive[k] = all(
+            base.p[(y1 + y2) % n] == (base.p[y1] + base.p[y2]) % n
             for y1 in range(n)
             for y2 in range(n)
         )
-    checks.append(
-        _check(
-            "base-config-toroidal-valid",
-            all(validity.values()),
-            [[k, True] for k in sorted(validity)],
-            [[k, validity[k]] for k in sorted(validity)],
-        )
-    )
-    checks.append(
-        _check(
-            "base-config-multiplier-additivity",
-            all(additivity.values()),
-            [[k, True] for k in sorted(additivity)],
-            [[k, additivity[k]] for k in sorted(additivity)],
-        )
-    )
-    units = {k: check_units(BaseParams.from_k(k)) for k in range(1, 7)}
-    checks.append(
-        _check(
-            "shifted-multipliers-are-units",
-            all(units.values()),
-            [[k, True] for k in sorted(units)],
-            [[k, units[k]] for k in sorted(units)],
-        )
-    )
-    return checks
-
-
-def _flip_checks(k_max: int, full: bool) -> list[dict]:
-    checks = []
-    counts = {}
-    for k in range(1, k_max + 1):
-        params = BaseParams.from_k(k)
-        counts[k] = [len(flips.enumerate_flips(params)), params.n * (params.n - 1) // 4]
-    checks.append(
-        _check(
-            "flip-count-formula",
-            all(got == want for got, want in counts.values()),
-            [[k, v[1]] for k, v in sorted(counts.items())],
-            [[k, v[0]] for k, v in sorted(counts.items())],
-        )
-    )
-
-    single_valid = {}
-    cover_exact = {}
-    intersect_ok = {}
-    for k in (1, 2):
-        params = BaseParams.from_k(k)
-        base = build_base_config(k)
-        all_flips = flips.enumerate_flips(params)
-        single_valid[k] = all(
-            core.validate_toroidal(
-                flips.apply_flips(base, flips.FlipSet(flips=(f,)))
-            ).is_valid
-            for f in all_flips
-        )
+        all_flips = flips.enumerate_flips(BaseParams.from_k(k))
+        counts.append((k, n * (n - 1) // 4, len(all_flips)))
+        tried = all_flips if k <= 2 else random.Random(0).sample(all_flips, 100)
+        boards = [flips.apply_flips(base, flips.FlipSet(flips=(f,))) for f in tried]
+        single_valid[k] = all(core.validate_toroidal(b).is_valid for b in boards)
+        if k > 2:
+            continue
         added = [s for f in all_flips for s in f.added]
         occupied = set(base.squares())
         cover_exact[k] = (
-            len(added) == len(set(added)) == params.n * (params.n - 1)
+            len(added) == len(set(added)) == n * (n - 1)
             and not (set(added) & occupied)
         )
-        bound = 4 * (params.n - 1)
+        bound = 4 * (n - 1)
         intersect_ok[k] = all(
             sum(1 for g in all_flips if g is not f and not flips.flips_disjoint(f, g))
             <= bound
             for f in all_flips
         )
-    if full:
-        params3 = BaseParams.from_k(3)
-        base3 = build_base_config(3)
-        rng = random.Random(0)
-        sample = rng.sample(flips.enumerate_flips(params3), 100)
-        single_valid[3] = all(
-            core.validate_toroidal(
-                flips.apply_flips(base3, flips.FlipSet(flips=(f,)))
-            ).is_valid
-            for f in sample
-        )
-    checks.append(
-        _check(
-            "single-flip-boards-valid",
-            all(single_valid.values()),
-            [[k, True] for k in sorted(single_valid)],
-            [[k, single_valid[k]] for k in sorted(single_valid)],
-        )
-    )
-    checks.append(
-        _check(
-            "flip-added-squares-partition-empty-squares",
-            all(cover_exact.values()),
-            [[k, True] for k in sorted(cover_exact)],
-            [[k, cover_exact[k]] for k in sorted(cover_exact)],
-        )
-    )
-    checks.append(
+        if k == 2:
+            distinct = {b.p for b in boards}
+            distinct_ok = len(distinct) == len(boards) and base.p not in distinct
+            num_distinct = len(distinct)
+    # The round trip enumerates flips of its own; release these first.
+    del all_flips, tried, boards
+
+    k_round = max(bases)
+    base = bases[k_round]
+    params = BaseParams.from_k(k_round)
+    t = params.n // 16
+    round_trip = True
+    for seed in range(10):
+        chosen = flips.greedy_disjoint_flips(params, t, seed=seed)
+        rebuilt = flips.reconstruct_flips(base, flips.apply_flips(base, chosen))
+        if rebuilt.canonical_ids() != chosen.canonical_ids():
+            round_trip = False
+            break
+
+    units = {k: check_units(BaseParams.from_k(k)) for k in range(1, 7)}
+    sizes = [17, 65] if not full else [17, 65, 257]
+    lb = {n: flips.lower_bound_log_count(n) for n in sizes}
+    return [
+        _all_true("base-config-toroidal-valid", valid),
+        _all_true("base-config-multiplier-additivity", additive),
+        _all_true("shifted-multipliers-are-units", units),
+        _agree("flip-count-formula", counts),
+        _all_true("single-flip-boards-valid", single_valid),
+        _all_true("flip-added-squares-partition-empty-squares", cover_exact),
         _check(
             "flip-intersection-bound",
             all(intersect_ok.values()),
             "each flip meets at most 4(n-1) others",
             [[k, intersect_ok[k]] for k in sorted(intersect_ok)],
-        )
-    )
-
-    params2 = BaseParams.from_k(2)
-    base2 = build_base_config(2)
-    boards = [
-        flips.apply_flips(base2, flips.FlipSet(flips=(f,))).p
-        for f in flips.enumerate_flips(params2)
-    ]
-    distinct = len(set(boards)) == len(boards) and base2.p not in boards
-    checks.append(
-        _check("single-flip-boards-distinct", distinct, 68, len(set(boards)))
-    )
-
-    k_round = k_max if k_max >= 2 else 2
-    params_r = BaseParams.from_k(k_round)
-    base_r = build_base_config(k_round)
-    t = params_r.n // 16
-    round_trip = True
-    for seed in range(10):
-        chosen = flips.greedy_disjoint_flips(params_r, t, seed=seed)
-        rebuilt = flips.reconstruct_flips(base_r, flips.apply_flips(base_r, chosen))
-        if rebuilt.canonical_ids() != chosen.canonical_ids():
-            round_trip = False
-            break
-    checks.append(
+        ),
+        _check("single-flip-boards-distinct", distinct_ok, 68, num_distinct),
         _check(
             "flip-roundtrip-reconstruction",
             round_trip,
             f"reconstruct(apply(fs)) == fs for 10 seeded sets at k={k_round}, t={t}",
             round_trip,
-        )
-    )
-
-    sizes = [17, 65] if not full else [17, 65, 257]
-    lb = {n: flips.lower_bound_log_count(n) for n in sizes}
-    checks.append(
+        ),
         _check(
             "greedy-lower-bound-log-positive",
             all(v > 0 and math.isfinite(v) for v in lb.values()),
             "finite and positive",
             [[n, lb[n]] for n in sorted(lb)],
-        )
-    )
-    return checks
+        ),
+    ]
 
 
-def _hypergraph_checks(full: bool, threads: int) -> list[dict]:
-    checks = []
+def _hypergraph_checks(full: bool, threads: int, fast_t: dict) -> list[dict]:
     pm_sizes = range(1, 9) if full else range(1, 6)
-    pm = {}
-    for n in pm_sizes:
-        hg = hypergraph.build_torus_queens_hg(n)
-        pm[n] = [
-            hypergraph.count_perfect_matchings(hg, threads=threads),
-            counting.count_toroidal(n, threads=threads).count,
-        ]
-    checks.append(
-        _check(
-            "torus-hypergraph-matchings-equal-toroidal-count",
-            all(a == b for a, b in pm.values()),
-            [[n, v[1]] for n, v in sorted(pm.items())],
-            [[n, v[0]] for n, v in sorted(pm.items())],
-        )
-    )
-
-    claims = []
-    torus5 = hypergraph.stats(hypergraph.build_torus_queens_hg(5))
-    claims.append(["torus-5", [20, 25, 4, 5, 1],
-                   [torus5.num_vertices, torus5.num_edges, torus5.d, torus5.k, torus5.max_codegree]])
-    trans3 = hypergraph.stats(
-        hypergraph.build_transversal_hg(hypergraph.cyclic_latin_square(3))
-    )
-    claims.append(["transversal-3", [9, 9, 3, 3, 1],
-                   [trans3.num_vertices, trans3.num_edges, trans3.d, trans3.k, trans3.max_codegree]])
-    steiner = hypergraph.stats(hypergraph.build_steiner_aux_hg(7, 3, 2))
-    claims.append(["steiner-7-3-2", [21, 35, 3, 5, 1],
-                   [steiner.num_vertices, steiner.num_edges, steiner.d, steiner.k, steiner.max_codegree]])
-    flip1 = hypergraph.stats(hypergraph.build_flip_hg(1))
-    claims.append(["flip-1", [5, 5, 4, 4, 3],
-                   [flip1.num_vertices, flip1.num_edges, flip1.d, flip1.k, flip1.max_codegree]])
-    flip2 = hypergraph.stats(hypergraph.build_flip_hg(2))
-    claims.append(["flip-2-regularity", [17, 68, 4, 16],
-                   [flip2.num_vertices, flip2.num_edges, flip2.d, flip2.k]])
+    tori = {n: hypergraph.build_torus_queens_hg(n) for n in pm_sizes}
+    pm = {n: hypergraph.count_perfect_matchings(tori[n], threads=threads) for n in pm_sizes}
+    hgs = {
+        "torus-5": tori[5],
+        "transversal-3": hypergraph.build_transversal_hg(hypergraph.cyclic_latin_square(3)),
+        "steiner-7-3-2": hypergraph.build_steiner_aux_hg(7, 3, 2),
+        "flip-1": hypergraph.build_flip_hg(1),
+        "flip-2": hypergraph.build_flip_hg(2),
+    }
     if full:
-        sudoku = hypergraph.stats(hypergraph.build_sudoku_hg(2))
-        claims.append(["sudoku-2", [64, 64, 4, 4, 2],
-                       [sudoku.num_vertices, sudoku.num_edges, sudoku.d, sudoku.k, sudoku.max_codegree]])
-    checks.append(
-        _check(
-            "constructor-stats-match-claims",
-            all(want == got for _, want, got in claims),
-            [[name, want] for name, want, _ in claims],
-            [[name, got] for name, _, got in claims],
-        )
-    )
+        hgs["sudoku-2"] = hypergraph.build_sudoku_hg(2)
+    measured = {name: hypergraph.stats(hg) for name, hg in hgs.items()}
+    profile = {
+        name: [s.num_vertices, s.num_edges, s.d, s.k, s.max_codegree]
+        for name, s in measured.items()
+    }
+    claims = [
+        (claim, want, profile[name][: len(want)])
+        for claim, name, want in _CLAIMS
+        if name in profile
+    ]
+    double = [
+        [name, s.num_vertices * (s.k or 0) == (s.d or 0) * s.num_edges]
+        for name, s in measured.items()
+        if name != "flip-1"
+    ]
 
-    double = []
-    builders = [
-        ("torus-5", hypergraph.build_torus_queens_hg(5)),
-        ("transversal-3", hypergraph.build_transversal_hg(hypergraph.cyclic_latin_square(3))),
-        ("steiner-7-3-2", hypergraph.build_steiner_aux_hg(7, 3, 2)),
-        ("flip-2", hypergraph.build_flip_hg(2)),
+    count = hypergraph.count_perfect_matchings
+    known = [
+        ("transversal-cyclic-3", 3, count(hgs["transversal-3"])),
+        ("transversal-cyclic-2", 0,
+         count(hypergraph.build_transversal_hg(hypergraph.cyclic_latin_square(2)))),
+        ("steiner-7-3-2", 30, count(hgs["steiner-7-3-2"])),
+        ("steiner-6-3-2", 0, count(hypergraph.build_steiner_aux_hg(6, 3, 2))),
+        ("flip-1", 0, count(hgs["flip-1"])),
     ]
     if full:
-        builders.append(("sudoku-2", hypergraph.build_sudoku_hg(2)))
-    for name, hg in builders:
-        s = hypergraph.stats(hg)
-        double.append([name, s.num_vertices * (s.k or 0) == (s.d or 0) * s.num_edges])
-    checks.append(
+        known.append(("sudoku-2", 288, count(hgs["sudoku-2"], threads=threads)))
+
+    hg5 = hgs["torus-5"]
+    reference = pm[5]
+    invariant = True
+    for seed in range(10):
+        mapping = list(range(hg5.num_vertices))
+        random.Random(seed).shuffle(mapping)
+        if count(hypergraph.relabel_vertices(hg5, mapping)) != reference:
+            invariant = False
+            break
+    return [
+        _agree(
+            "torus-hypergraph-matchings-equal-toroidal-count",
+            [(n, fast_t[n], pm[n]) for n in pm_sizes],
+        ),
+        _agree("constructor-stats-match-claims", claims),
         _check(
             "regular-constructor-double-counting",
             all(ok for _, ok in double),
             "n * k == d * |E|",
             double,
-        )
-    )
-
-    pm_known = [
-        ["transversal-cyclic-3", 3,
-         hypergraph.count_perfect_matchings(
-             hypergraph.build_transversal_hg(hypergraph.cyclic_latin_square(3)))],
-        ["transversal-cyclic-2", 0,
-         hypergraph.count_perfect_matchings(
-             hypergraph.build_transversal_hg(hypergraph.cyclic_latin_square(2)))],
-        ["steiner-7-3-2", 30,
-         hypergraph.count_perfect_matchings(hypergraph.build_steiner_aux_hg(7, 3, 2))],
-        ["steiner-6-3-2", 0,
-         hypergraph.count_perfect_matchings(hypergraph.build_steiner_aux_hg(6, 3, 2))],
-        ["flip-1", 0,
-         hypergraph.count_perfect_matchings(hypergraph.build_flip_hg(1))],
+        ),
+        _agree("known-matching-counts", known),
+        _check("matching-count-relabeling-invariant", invariant, reference, invariant),
     ]
-    if full:
-        pm_known.append(
-            ["sudoku-2", 288,
-             hypergraph.count_perfect_matchings(hypergraph.build_sudoku_hg(2), threads=threads)]
-        )
-    checks.append(
-        _check(
-            "known-matching-counts",
-            all(want == got for _, want, got in pm_known),
-            [[name, want] for name, want, _ in pm_known],
-            [[name, got] for name, _, got in pm_known],
-        )
-    )
-
-    hg5 = hypergraph.build_torus_queens_hg(5)
-    reference = hypergraph.count_perfect_matchings(hg5)
-    invariant = True
-    for seed in range(10):
-        mapping = list(range(hg5.num_vertices))
-        random.Random(seed).shuffle(mapping)
-        if hypergraph.count_perfect_matchings(hypergraph.relabel_vertices(hg5, mapping)) != reference:
-            invariant = False
-            break
-    checks.append(
-        _check("matching-count-relabeling-invariant", invariant, reference, invariant)
-    )
-    return checks
 
 
 def _bounds_checks(full: bool) -> list[dict]:
@@ -398,40 +285,26 @@ def _bounds_checks(full: bool) -> list[dict]:
         )
     )
 
-    grid = []
-    grid_ok = True
-    for k in (5, 17, 100):
-        for d in (2, 3, 4):
-            value = bounds.hypergraph_integral_check(k, d, 0.0).value
-            want = math.log(k) - (d - 1)
-            grid.append([k, d, value, want])
-            if abs(value - want) > 1e-6:
-                grid_ok = False
+    grid = [
+        [k, d, bounds.hypergraph_integral_check(k, d, 0.0).value, math.log(k) - (d - 1)]
+        for k in (5, 17, 100)
+        for d in (2, 3, 4)
+    ]
+    grid_ok = all(abs(value - want) <= 1e-6 for _, _, value, want in grid)
     checks.append(
         _check("matching-bound-integral-closed-form", grid_ok, "quadrature == log k - (d-1) within 1e-6", grid)
     )
 
     gaps = []
-    gaps_ok = True
     for n in (16, 64, 256, 1024):
         with_one = bounds.log_poly_integral(0.0, 0.0, n - 1.0, with_one=True).value
         without = bounds.log_poly_integral(0.0, 0.0, n - 1.0, with_one=False).value
-        gap = abs(with_one - without)
-        limit = 2.0 / math.sqrt(n)
-        gaps.append([n, gap, limit])
-        if gap > limit:
-            gaps_ok = False
+        gaps.append([n, abs(with_one - without), 2.0 / math.sqrt(n)])
+    gaps_ok = all(gap <= limit for _, gap, limit in gaps)
     checks.append(
         _check("log-gap-within-two-over-sqrt-n", gaps_ok, "gap <= 2 n^(-1/2)", gaps)
     )
     return checks
-
-
-def _serialization_checks() -> list[dict]:
-    configs = [build_base_config(1), build_base_config(2)]
-    configs.extend(counting.enumerate_solutions(5, "toroidal"))
-    ok = all(core.parse(core.serialize(c)) == c for c in configs)
-    return [_check("config-serialization-roundtrip", ok, True, ok)]
 
 
 def run_verification_suite(level: str = "quick", threads: int = 1) -> dict:
@@ -443,13 +316,19 @@ def run_verification_suite(level: str = "quick", threads: int = 1) -> dict:
     k_max = 3 if full else 2
     polya_max = 12 if full else 7
 
+    sizes = range(1, polya_max + 1)
+    fast_c = {n: counting.count_classical(n, threads=threads).count for n in sizes}
+    fast_t = {n: counting.count_toroidal(n, threads=threads).count for n in sizes}
+    bases = {k: build_base_config(k) for k in range(1, k_max + 1)}
     checks: list[dict] = []
-    checks.extend(_counting_checks(n_max, polya_max, threads))
-    checks.extend(_construction_checks(k_max))
-    checks.extend(_flip_checks(k_max, full))
-    checks.extend(_hypergraph_checks(full, threads))
+    checks.extend(_counting_checks(n_max, fast_c, fast_t))
+    checks.extend(_board_checks(bases, full))
+    checks.extend(_hypergraph_checks(full, threads, fast_t))
     checks.extend(_bounds_checks(full))
-    checks.extend(_serialization_checks())
+
+    configs = [bases[1], bases[2], *counting.enumerate_solutions(5, "toroidal")]
+    ok = all(core.parse(core.serialize(c)) == c for c in configs)
+    checks.append(_check("config-serialization-roundtrip", ok, True, ok))
     return {
         "level": level,
         "passed": all(c["passed"] for c in checks),

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +91,30 @@ def test_oversized_k_is_size_limit_error(capsys, argv):
     error = json.loads(err)
     assert error["code"] == "size-limit"
     assert "k = 100000" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hg", "--family", "torus", "--params", '{"n": 4}', "--stats"],
+        ["hg", "--family", "transversal", "--params", '{"order": 4}', "--stats"],
+        ["hg", "--family", "sudoku", "--params", '{"b": 2}', "--stats"],
+    ],
+)
+def test_hg_over_edge_cap_is_size_limit_error(capsys, monkeypatch, argv):
+    monkeypatch.setattr("queens_lab.hypergraph.DEFAULT_EDGE_CAP", 15)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["code"] == "size-limit"
+
+
+def test_hg_in_over_edge_cap_is_size_limit_error(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "hg.json"
+    path.write_text('{"n": 16, "edges": []}')
+    monkeypatch.setattr("queens_lab.hypergraph.DEFAULT_EDGE_CAP", 15)
+    code, out, err = run(capsys, ["hg", "--in", str(path), "--stats"])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["code"] == "size-limit"
 
 
 def test_unknown_subcommand():
@@ -239,6 +264,13 @@ def test_verify_quick_repeat_is_byte_identical(capsys):
     assert out1 == out2
 
 
+def test_verify_quick_matches_pinned_report(capsys):
+    pinned = (Path(__file__).parent / "data" / "verify_quick.json").read_text(encoding="utf-8")
+    code, out, _ = run(capsys, ["verify", "--level", "quick"])
+    assert code == 0
+    assert out == pinned
+
+
 def test_verify_detects_tampered_validator(capsys, monkeypatch):
     # Negative control: a validator that waves everything through must
     # make the oracle comparisons fail and the suite exit nonzero.
@@ -265,7 +297,6 @@ def test_dispatch_result_fields():
     assert result.command == "construct"
     assert result.status == "ok"
     assert result.params["k"] == 1
-    assert result.elapsed >= 0.0
 
 
 def test_check_lemmas_above_cap_is_size_limit_error(capsys):

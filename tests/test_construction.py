@@ -85,9 +85,6 @@ def test_base_config_additivity(k):
 def test_size_cap():
     with pytest.raises(SizeLimitError):
         build_base_config(9)
-    with pytest.raises(SizeLimitError):
-        build_base_config(4, max_k=3)
-    assert build_base_config(4, max_k=4).n == 257
 
 
 def test_env_cap_override(monkeypatch):

@@ -55,7 +55,6 @@ def test_count_result_fields():
     assert result.mode == "classical"
     assert result.count <= math.factorial(result.n)
     assert result.nodes_visited > 0
-    assert result.elapsed >= 0.0
 
 
 def test_toroidal_at_most_classical():

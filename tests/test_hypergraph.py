@@ -110,6 +110,31 @@ def test_steiner_guards():
         build_steiner_aux_hg(60, 5, 2, edge_cap=1000)
 
 
+# (builder, its argument, the edge or vertex count it is checked at)
+CAPPED_BUILDERS = [
+    (build_torus_queens_hg, 5, 25),
+    (cyclic_latin_square, 3, 9),
+    (build_sudoku_hg, 2, 64),
+    (build_flip_hg, 2, 68),
+    (from_json, '{"n":7,"edges":[]}', 7),
+    # 21 vertices, 35 edges
+    (from_json, to_json(build_steiner_aux_hg(7, 3, 2)), 35),
+]
+
+
+@pytest.mark.parametrize(
+    "build, arg, size",
+    CAPPED_BUILDERS,
+    ids=["torus", "cyclic-latin", "sudoku", "flip", "json-vertices", "json-edges"],
+)
+def test_builders_check_the_edge_cap(monkeypatch, build, arg, size):
+    monkeypatch.setattr(hypergraph, "DEFAULT_EDGE_CAP", size)
+    build(arg)
+    monkeypatch.setattr(hypergraph, "DEFAULT_EDGE_CAP", size - 1)
+    with pytest.raises(SizeLimitError, match="exceeds the edge cap"):
+        build(arg)
+
+
 def test_flip_hypergraph():
     hg1 = build_flip_hg(1)
     s1 = stats(hg1)

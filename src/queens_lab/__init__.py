@@ -36,6 +36,7 @@ from .counting import (
     count_toroidal,
     enumerate_solutions,
     oracle_count,
+    oracle_counts,
 )
 from .errors import QueensLabError
 from .flips import (
@@ -118,6 +119,7 @@ __all__ = [
     "lower_bound_log_count",
     "mod_inverse",
     "oracle_count",
+    "oracle_counts",
     "parse",
     "relabel_vertices",
     "reconstruct_flips",

@@ -7,11 +7,15 @@ are the residue classes of ``x + y`` and ``x - y`` mod n, so a placement
 is a toroidal solution exactly when both families are hit once each.
 On the classical board the same differences are taken over the integers.
 
-The validators decide validity from set sizes alone: a placement is
-valid exactly when each list of n diagonal indices has n distinct
-entries.  A rejected placement keeps only those two lists, and its
-``violations`` are tallied from them the first time they are read, so
-filtering many placements costs no per-call report building.
+Construction accepts a plain tuple of n distinct plain ints in 0 .. n-1
+at once, by a type check and one set comparison against a cached
+``range(n)`` set; any other input goes through the field-by-field checks,
+which name the first fault.  The validators decide validity from set sizes alone: a
+placement is valid exactly when each diagonal family takes n distinct
+indices, and the second family is only looked at when the first passes.
+A rejected placement keeps only its permutation, and its ``violations``
+are tallied from it the first time they are read, so filtering many
+placements (the permutation oracle) costs no per-call report building.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import add, sub
 from typing import NamedTuple
 
 from .errors import InvalidConfigError
@@ -45,31 +51,38 @@ class ValidityReport:
     """Outcome of a validator: ``is_valid`` and the over-occupied lines.
 
     Constructed directly it holds the given values.  Validators build
-    invalid reports with ``_from_diagonals``, which keeps the two diagonal
-    index lists and tallies ``violations`` on first access, sorted by
-    (kind, index).  Immutable; equality, hash and repr go by
+    invalid reports with ``_invalid``, which keeps the permutation (and
+    the modulus on the torus) and tallies ``violations`` on first access,
+    sorted by (kind, index).  Immutable; equality, hash and repr go by
     ``(is_valid, violations)``.
     """
 
-    __slots__ = ("is_valid", "_violations", "_diagonals")
+    __slots__ = ("is_valid", "_violations", "_pending")
 
     def __init__(self, is_valid: bool, violations: tuple[Violation, ...]):
         object.__setattr__(self, "is_valid", is_valid)
         object.__setattr__(self, "_violations", violations)
-        object.__setattr__(self, "_diagonals", None)
+        object.__setattr__(self, "_pending", None)
 
     @classmethod
-    def _from_diagonals(cls, plus: list[int], minus: list[int]) -> "ValidityReport":
+    def _invalid(cls, p: tuple[int, ...], modulus: int | None) -> "ValidityReport":
+        """A rejected placement ``p``; ``modulus`` is n on the torus and
+        None on the classical board."""
         report = object.__new__(cls)
         object.__setattr__(report, "is_valid", False)
-        object.__setattr__(report, "_diagonals", (plus, minus))
+        object.__setattr__(report, "_pending", (p, modulus))
         return report
 
     @property
     def violations(self) -> tuple[Violation, ...]:
-        diagonals = self._diagonals  # read once: another thread may clear it
-        if diagonals is not None:
-            plus, minus = diagonals
+        pending = self._pending  # read once: another thread may clear it
+        if pending is not None:
+            p, modulus = pending
+            plus = [x + y for y, x in enumerate(p)]
+            minus = [x - y for y, x in enumerate(p)]
+            if modulus is not None:
+                plus = [i % modulus for i in plus]
+                minus = [i % modulus for i in minus]
             tally = tuple(
                 Violation(kind, index, mult)
                 for kind, indices in (("minus-diagonal", minus), ("plus-diagonal", plus))
@@ -77,7 +90,7 @@ class ValidityReport:
                 if mult > 1
             )
             object.__setattr__(self, "_violations", tally)
-            object.__setattr__(self, "_diagonals", None)
+            object.__setattr__(self, "_pending", None)
         return self._violations
 
     def __setattr__(self, name, value=None):
@@ -113,6 +126,18 @@ class QueensConfig:
     p: tuple[int, ...]
 
     def __post_init__(self):
+        # Fast path: a plain tuple of n distinct plain ints in 0 .. n-1 is
+        # accepted at once.  Everything else (lists, int subclasses, bad
+        # entries) takes the checks below, which name the first fault.
+        n, p = self.n, self.p
+        if (
+            type(p) is tuple
+            and type(n) is int
+            and len(p) == n
+            and set(map(type, p)) == _INT
+            and set(p) == _columns(n)
+        ):
+            return
         if self.n < 1:
             raise InvalidConfigError(f"field 'n': must be >= 1, got {self.n}")
         object.__setattr__(self, "p", tuple(self.p))
@@ -139,13 +164,18 @@ class QueensConfig:
 
 
 _VALID = ValidityReport(is_valid=True, violations=())
+_INT = frozenset({int})
 
 
-def _diagonal_report(n: int, plus: list[int], minus: list[int]) -> ValidityReport:
-    """Valid exactly when both lists of n diagonal indices are repeat-free."""
-    if len(set(plus)) == n == len(set(minus)):
-        return _VALID
-    return ValidityReport._from_diagonals(plus, minus)
+@lru_cache(maxsize=32)
+def _columns(n: int) -> frozenset[int]:
+    return frozenset(range(n))
+
+
+@lru_cache(maxsize=32)
+def _wrap(n: int):
+    """Residue mod n of every integer in -(n-1) .. 2n-2, by list lookup."""
+    return (list(range(n)) * 2).__getitem__
 
 
 def validate_toroidal(config: QueensConfig) -> ValidityReport:
@@ -155,10 +185,16 @@ def validate_toroidal(config: QueensConfig) -> ValidityReport:
     so only repeated residues of ``x + y`` and ``x - y`` mod n can appear
     as violations.
     """
-    n = config.n
-    plus = [(x + y) % n for y, x in enumerate(config.p)]
-    minus = [(x - y) % n for y, x in enumerate(config.p)]
-    return _diagonal_report(n, plus, minus)
+    p = config.p
+    n = len(p)
+    rows = range(n)
+    wrap = _wrap(n)
+    if (
+        len(set(map(wrap, map(add, p, rows)))) == n
+        and len(set(map(wrap, map(sub, p, rows)))) == n
+    ):
+        return _VALID
+    return ValidityReport._invalid(p, config.n)
 
 
 def validate_classical(config: QueensConfig) -> ValidityReport:
@@ -167,9 +203,12 @@ def validate_classical(config: QueensConfig) -> ValidityReport:
     Diagonal indices are taken over the integers: ``x + y`` in
     ``0 .. 2n-2`` and ``x - y`` in ``-(n-1) .. n-1``, with no wrap.
     """
-    plus = [x + y for y, x in enumerate(config.p)]
-    minus = [x - y for y, x in enumerate(config.p)]
-    return _diagonal_report(config.n, plus, minus)
+    p = config.p
+    n = len(p)
+    rows = range(n)
+    if len(set(map(add, p, rows))) == n and len(set(map(sub, p, rows))) == n:
+        return _VALID
+    return ValidityReport._invalid(p, None)
 
 
 def serialize(config: QueensConfig) -> str:

@@ -8,7 +8,10 @@ bit and the other shifts down; on the classical board the bit pushed off
 the edge is dropped, on the torus it re-enters at the other edge.
 Candidates are tried lowest column first, so enumerate_solutions yields
 placements in lexicographic order.  A brute-force permutation filter
-(oracle_count) provides an independent slow check.
+provides an independent slow check: oracle_counts makes one pass over
+the n! permutations for any set of modes, building each permutation once
+as a checked QueensConfig and handing it to every mode's core validator
+(looked up per call); oracle_count is that pass for one mode.
 
 The search is reduced by symmetry.  Translation x -> x + c maps toroidal
 solutions onto toroidal solutions, and the mirror x -> n - 1 - x maps
@@ -209,19 +212,30 @@ def count_toroidal(n: int, threads: int = 1) -> CountResult:
     return _count(n, "toroidal", threads)
 
 
-def oracle_count(n: int, mode: str) -> CountResult:
-    """Independent slow count: filter all n! permutations through the
-    core validator.  Capped at n <= 10."""
-    _check_mode(mode)
+def oracle_counts(n: int, modes: tuple[str, ...]) -> tuple[CountResult, ...]:
+    """Independent slow counts, one per mode: filter all n! permutations
+    through the core validators in one pass, each permutation built once
+    as a checked QueensConfig and handed to every mode's validator.
+    Capped at n <= 10."""
+    for mode in modes:
+        _check_mode(mode)
     _check_size(n, ORACLE_CAP)
-    validator = core.validate_toroidal if mode == "toroidal" else core.validate_classical
-    count = 0
+    # Looked up per call, so a replaced core validator is the one used.
+    validators = [getattr(core, f"validate_{mode}") for mode in modes]
+    counts = [0] * len(modes)
     checked = 0
     for perm in permutations(range(n)):
         checked += 1
-        if validator(QueensConfig(n=n, p=perm)).is_valid:
-            count += 1
-    return CountResult(n, mode, count, checked)
+        config = QueensConfig(n=n, p=perm)
+        for i, validate in enumerate(validators):
+            if validate(config).is_valid:
+                counts[i] += 1
+    return tuple(CountResult(n, mode, c, checked) for mode, c in zip(modes, counts))
+
+
+def oracle_count(n: int, mode: str) -> CountResult:
+    """Independent slow count of one mode; see oracle_counts."""
+    return oracle_counts(n, (mode,))[0]
 
 
 def enumerate_solutions(

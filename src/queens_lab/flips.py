@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .construction import BaseParams, build_base_config, mod_inverse
+from .construction import BaseParams, capped_params, mod_inverse
 from .core import QueensConfig, Square, validate_toroidal
 from .errors import (
     FlipError,
@@ -209,9 +209,10 @@ def greedy_disjoint_flips(params: BaseParams, t: int, seed: int | None = None) -
 
 
 def _require_base(base: QueensConfig) -> BaseParams:
-    params = BaseParams.from_board_size(base.n)
-    expected = build_base_config(params.k)
-    if base.p != expected.p:
+    """Params of ``base``, checked in place to be the base placement."""
+    params = capped_params(BaseParams.from_board_size(base.n).k)
+    m, n = params.m, params.n
+    if any(x != m * y % n for y, x in enumerate(base.p)):
         raise FlipError("flips are defined only over the base configuration")
     return params
 
@@ -271,18 +272,21 @@ def reconstruct_flips(base: QueensConfig, modified: QueensConfig) -> FlipSet:
 
 
 def lower_bound_log_count(n: int) -> float:
-    """Natural log of the greedy selection count for t = floor(n/16) steps.
+    """Natural log of a lower bound on the number of sets of t = floor(n/16)
+    pairwise disjoint flips.
 
-    The i-th pick has at least n(n-1)/4 - (i-1) * 4(n-1) candidates and
-    the final tally is divided by t; all factors are positive for this t.
-    Returns 0.0 when n < 16 (no steps).
+    The i-th greedy pick has at least n(n-1)/4 - (i-1) * 4(n-1)
+    candidates; all factors are positive for this t.  Their product counts
+    ordered sequences, and each unordered set of t flips arises from t!
+    orders, so the product is divided by t!.  Returns 0.0 when n < 16
+    (no steps).
     """
     if n < 1:
         raise FlipError(f"n must be >= 1, got {n}")
     t = n // 16
     if t == 0:
         return 0.0
-    total = -math.log(t)
+    total = -math.lgamma(t + 1)
     base_count = n * (n - 1) / 4.0
     per_step = 4.0 * (n - 1)
     for i in range(1, t + 1):

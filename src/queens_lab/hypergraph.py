@@ -19,7 +19,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, log
+from math import log
 
 from .construction import capped_params
 from .errors import (
@@ -39,6 +39,22 @@ def _check_edge_cap(size: int, what: str, edge_cap: int) -> None:
     ``edge_cap`` before anything of that size is allocated."""
     if size > edge_cap:
         raise SizeLimitError(f"{what} exceeds the edge cap {edge_cap}")
+
+
+def _capped_comb(n: int, r: int, cap: int) -> int:
+    """comb(n, r) when it is at most ``cap``, else some value above ``cap``.
+
+    The running product comb(n - r + i, i), i = 1 .. min(r, n - r), is
+    multiplied by (n - r + i) / i >= 2 at each step, so it passes ``cap``
+    within about log2(cap) steps instead of computing a huge binomial.
+    """
+    r = min(r, n - r)
+    c = 1
+    for i in range(1, r + 1):
+        c = c * (n - r + i) // i
+        if c > cap:
+            break
+    return c
 
 
 @dataclass(frozen=True)
@@ -168,8 +184,8 @@ def build_steiner_aux_hg(n: int, q: int, r: int, edge_cap: int = DEFAULT_EDGE_CA
     q-subset bundling all its r-subsets."""
     if not 0 < r < q < n:
         raise InvalidHypergraphError(f"need 0 < r < q < n, got ({n}, {q}, {r})")
-    _check_edge_cap(comb(n, r), f"({n},{q},{r})", edge_cap)
-    _check_edge_cap(comb(n, q), f"({n},{q},{r})", edge_cap)
+    _check_edge_cap(_capped_comb(n, r, edge_cap), f"({n},{q},{r})", edge_cap)
+    _check_edge_cap(_capped_comb(n, q, edge_cap), f"({n},{q},{r})", edge_cap)
     r_sets = list(combinations(range(n), r))
     index = {s: i for i, s in enumerate(r_sets)}
     edges = []

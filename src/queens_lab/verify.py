@@ -51,10 +51,10 @@ def _all_true(name: str, results: dict) -> dict:
 
 
 def _counting_checks(n_max: int, fast_c: dict, fast_t: dict) -> list[dict]:
-    oracle = {
-        mode: {n: counting.oracle_count(n, mode).count for n in range(1, n_max + 1)}
-        for mode in counting.MODES
-    }
+    oracle = {mode: {} for mode in counting.MODES}
+    for n in range(1, n_max + 1):
+        for result in counting.oracle_counts(n, counting.MODES):
+            oracle[result.mode][n] = result.count
     return [
         _agree(
             "count-classical-matches-oracle",

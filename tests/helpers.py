@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, permutations
 
+from queens_lab.errors import InvalidConfigError
+
 
 def naive_classical_valid(p) -> bool:
     """O(n^2) pairwise attack scan on the bounded board."""
@@ -52,6 +54,24 @@ def reference_violations(p, toroidal: bool) -> tuple[tuple[str, int, int], ...]:
     return tuple(
         (kind, index, mult) for (kind, index), mult in sorted(counts.items()) if mult > 1
     )
+
+
+def reference_config_check(n, p) -> tuple:
+    """The field-by-field QueensConfig checks, one by one and with no fast
+    path: the normalised p, or InvalidConfigError naming the first fault."""
+    if n < 1:
+        raise InvalidConfigError(f"field 'n': must be >= 1, got {n}")
+    p = tuple(p)
+    if len(p) != n:
+        raise InvalidConfigError(f"field 'p': expected length {n}, got {len(p)}")
+    for y, x in enumerate(p):
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise InvalidConfigError(f"field 'p': entry at index {y} is not an integer")
+        if not 0 <= x < n:
+            raise InvalidConfigError(f"field 'p': entry {x} at index {y} out of range 0..{n - 1}")
+    if len(set(p)) != n:
+        raise InvalidConfigError("field 'p': not a permutation (repeated column)")
+    return p
 
 
 def brute_force_diagonal_exposure(n: int, i: int, j: int) -> int:

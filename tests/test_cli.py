@@ -285,6 +285,20 @@ def test_verify_detects_tampered_validator(capsys, monkeypatch):
     assert "count-toroidal-matches-oracle" in payload["failed"]
 
 
+def test_verify_detects_tampered_classical_validator(capsys, monkeypatch):
+    # The oracle hands each board to both validators in one pass, so the
+    # classical lookup must be live as well.
+    monkeypatch.setattr(
+        "queens_lab.core.validate_classical",
+        lambda config: ValidityReport(is_valid=True, violations=()),
+    )
+    code, out, _ = run(capsys, ["verify", "--level", "quick"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert "count-classical-matches-oracle" in payload["failed"]
+
+
 def test_env_cap_reaches_cli(capsys, monkeypatch):
     monkeypatch.setenv("QUEENS_LAB_CAP", "6")
     code, _, err = run(capsys, ["count", "--n", "8", "--mode", "classical"])

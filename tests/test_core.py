@@ -1,4 +1,5 @@
 import random
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +16,12 @@ from queens_lab.core import (
 )
 from queens_lab.errors import InvalidConfigError
 
-from helpers import naive_classical_valid, naive_toroidal_valid, reference_violations
+from helpers import (
+    naive_classical_valid,
+    naive_toroidal_valid,
+    reference_config_check,
+    reference_violations,
+)
 
 configs = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.permutations(list(range(n)))
@@ -86,6 +92,49 @@ def test_squares_accessor():
 def test_structural_errors(n, p, fragment):
     with pytest.raises(InvalidConfigError, match=fragment):
         QueensConfig(n=n, p=tuple(p))
+
+
+class Column(IntEnum):
+    ONE = 1
+
+
+class Row(tuple):
+    pass
+
+
+def _outcome(check):
+    try:
+        p = check()
+    except InvalidConfigError as exc:
+        return "error", str(exc)
+    return "ok", type(p), p, tuple(map(type, p))
+
+
+@pytest.mark.parametrize(
+    "n,p",
+    [
+        (3, (2, 0, 1)),
+        (3, (0, True, 2)),
+        (2, (False, 1)),
+        (3, (0, Column.ONE, 2)),
+        (3, (0.0, 1, 2)),
+        (3, (0, -1, 2)),
+        (3, (0, 1, 3)),
+        (3, (0, 0, 1)),
+        (3, (0, 1)),
+        (3, [2, 0, 1]),
+        (3, [0, 0, 1]),
+        (3, Row((1, 0, 2))),
+        (0, ()),
+        (-2, ()),
+        (3.0, (0, 1, 2)),
+        (2.5, (0, 1)),
+        (True, (0,)),
+    ],
+)
+def test_construction_matches_field_checks(n, p):
+    built = _outcome(lambda: QueensConfig(n=n, p=p).p)
+    assert built == _outcome(lambda: reference_config_check(n, p))
 
 
 def test_serialize_schema():

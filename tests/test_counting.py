@@ -11,6 +11,7 @@ from queens_lab.counting import (
     count_toroidal,
     enumerate_solutions,
     oracle_count,
+    oracle_counts,
 )
 from queens_lab.errors import InvalidConfigError, SizeLimitError
 
@@ -35,6 +36,13 @@ def test_toroidal_known_counts(n, expected):
 def test_fast_counters_match_oracle(n):
     assert count_classical(n).count == oracle_count(n, "classical").count
     assert count_toroidal(n).count == oracle_count(n, "toroidal").count
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_one_oracle_pass_equals_per_mode_passes(n):
+    assert oracle_counts(n, counting.MODES) == tuple(
+        oracle_count(n, mode) for mode in counting.MODES
+    )
 
 
 def test_oracle_is_a_permutation_filter():
@@ -96,6 +104,8 @@ def test_env_cap_override(monkeypatch):
 def test_bad_mode_rejected():
     with pytest.raises(InvalidConfigError):
         oracle_count(5, "diagonal")
+    with pytest.raises(InvalidConfigError):
+        oracle_counts(5, ("classical", "diagonal"))
     with pytest.raises(InvalidConfigError):
         enumerate_solutions(5, "diagonal")
 

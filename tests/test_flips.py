@@ -171,6 +171,23 @@ def test_apply_requires_base_configuration():
         apply_flips(QueensConfig(n=4, p=(1, 3, 0, 2)), FlipSet(flips=()))
 
 
+def test_base_check_builds_no_base_board(monkeypatch):
+    base = build_base_config(2)
+    flip_set = FlipSet(flips=(flip_for_square(P2, Square(0, 1)),))
+
+    def no_build(k):
+        raise AssertionError("build_base_config called")
+
+    # Both lookups: through construction, and a name bound in flips.
+    monkeypatch.setattr("queens_lab.construction.build_base_config", no_build)
+    monkeypatch.setattr(flips, "build_base_config", no_build, raising=False)
+    modified = apply_flips(base, flip_set)
+    assert reconstruct_flips(base, modified) == flip_set
+    other = QueensConfig(n=5, p=(0, 3, 1, 4, 2))
+    with pytest.raises(FlipError, match="only over the base configuration"):
+        reconstruct_flips(other, other)
+
+
 def test_single_flip_boards_distinct_from_base_and_each_other():
     base = build_base_config(2)
     boards = [
@@ -213,7 +230,7 @@ def test_lower_bound_log_values():
     assert lower_bound_log_count(17) == pytest.approx(math.log(68))
     expected = (
         math.log(1040) + math.log(1040 - 256) + math.log(1040 - 512) + math.log(1040 - 768)
-        - math.log(4)
+        - math.lgamma(5)
     )
     assert lower_bound_log_count(65) == pytest.approx(expected)
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -108,6 +109,21 @@ def test_steiner_guards():
         build_steiner_aux_hg(5, 3, 3)
     with pytest.raises(SizeLimitError):
         build_steiner_aux_hg(60, 5, 2, edge_cap=1000)
+
+
+def test_steiner_size_is_refused_before_the_binomial():
+    start = time.process_time()
+    with pytest.raises(SizeLimitError, match=r"\(1000000,500001,500000\) exceeds the edge cap"):
+        build_steiner_aux_hg(10**6, 500001, 500000)
+    assert time.process_time() - start < 1.0
+
+
+def test_capped_comb_is_exact_up_to_the_cap():
+    for n in range(1, 25):
+        for r in range(n + 1):
+            for cap in (0, 1, 5, 100, math.comb(n, r) - 1, math.comb(n, r)):
+                got = hypergraph._capped_comb(n, r, cap)
+                assert got == math.comb(n, r) if math.comb(n, r) <= cap else got > cap
 
 
 # (builder, its argument, the edge or vertex count it is checked at)

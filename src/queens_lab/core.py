@@ -138,6 +138,8 @@ class QueensConfig:
             and set(p) == _columns(n)
         ):
             return
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise InvalidConfigError("field 'n': must be an integer")
         if self.n < 1:
             raise InvalidConfigError(f"field 'n': must be >= 1, got {self.n}")
         object.__setattr__(self, "p", tuple(self.p))

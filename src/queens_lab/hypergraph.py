@@ -6,9 +6,19 @@ in a d-uniform k-regular hypergraph with small codegrees: toroidal
 queens placements, Latin square transversals, Sudoku squares, Steiner
 systems, and decompositions of the flip structure itself.  The builders
 here produce those hypergraphs, ``stats`` measures (d, k, codegrees)
-exactly, ``count_perfect_matchings`` runs an exact backtracking cover,
-and ``entropy_bound_log`` evaluates the matching upper bound
+exactly, ``count_perfect_matchings`` counts exact covers, and
+``entropy_bound_log`` evaluates the matching upper bound
 (k / e^(d-1))^(n/d) in log form.
+
+The exact-cover search keeps the edges still usable as a bitmask over
+edge indices, ``alive``.  Each node branches on the uncovered vertex with
+the fewest alive edges, the lowest id on ties (Knuth's column choice in
+*Dancing Links*, arXiv cs/0011047), and returns 0 as soon as some
+uncovered vertex has none; a child drops the edges meeting its chosen
+edge with one AND against a precomputed conflict row.  The branching
+choice reads only vertex ids and edge sets, so the node count does not
+depend on edge order.  When the gcd of the edge sizes does not divide
+the vertex count, no perfect matching exists and nothing is searched.
 """
 
 from __future__ import annotations
@@ -18,8 +28,9 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
-from math import log
+from itertools import combinations, repeat
+from math import gcd, log
+from typing import NamedTuple
 
 from .construction import capped_params
 from .errors import (
@@ -32,6 +43,9 @@ from .flips import enumerate_flips
 
 DEFAULT_NODE_BUDGET = 50_000_000
 DEFAULT_EDGE_CAP = 1_000_000
+# Bits held by the perfect-matching search tables: edge masks over the
+# vertices, and incidence and conflict rows over the edges (128 MiB).
+DEFAULT_TABLE_BIT_CAP = 2**30
 
 
 def _check_edge_cap(size: int, what: str, edge_cap: int) -> None:
@@ -253,51 +267,109 @@ def _edge_masks(hg: Hypergraph) -> list[int]:
     return masks
 
 
+class _CoverTables(NamedTuple):
+    """What the exact-cover search reads, built once per instance.
+
+    ``masks[i]`` is edge i as a vertex bitmask, ``incident[v]`` the edges
+    through vertex v and ``conflict[i]`` the edges sharing a vertex with
+    edge i (edge i included), both as bitmasks over edge indices.
+    """
+
+    full: int
+    masks: list[int]
+    incident: list[int]
+    conflict: list[int]
+
+
+def _cover_tables(num_vertices: int, masks: list[int]) -> _CoverTables:
+    incident = [0] * num_vertices
+    for i, m in enumerate(masks):
+        edge = 1 << i
+        while m:
+            low = m & -m
+            incident[low.bit_length() - 1] |= edge
+            m ^= low
+    conflict = []
+    for m in masks:
+        c = 0
+        while m:
+            low = m & -m
+            c |= incident[low.bit_length() - 1]
+            m ^= low
+        conflict.append(c)
+    return _CoverTables((1 << num_vertices) - 1, masks, incident, conflict)
+
+
+def _fewest_candidates(incident: list[int], free: int, alive: int) -> int:
+    """The ``alive`` edges through the vertex of ``free`` that has the
+    fewest of them, the lowest id on ties, as a bitmask over edge indices;
+    0 as soon as some vertex of ``free`` has none."""
+    best, fewest = 0, alive.bit_length() + 1
+    while free:
+        low = free & -free
+        free ^= low
+        cand = incident[low.bit_length() - 1] & alive
+        size = cand.bit_count()
+        if size < fewest:
+            if not size:
+                return 0
+            best, fewest = cand, size
+            if size == 1:
+                break
+    return best
+
+
+def _cover_search(
+    tables: _CoverTables, cover: int, alive: int, budget: int
+) -> tuple[int, int]:
+    """Count the exact covers of the vertices outside ``cover`` by the
+    edges of ``alive``, as (count, nodes); every edge tried is a node."""
+    full, masks, incident, conflict = tables
+    nodes = 0
+
+    def rec(cover: int, alive: int) -> int:
+        nonlocal nodes
+        if cover == full:
+            return 1
+        cand = _fewest_candidates(incident, full & ~cover, alive)
+        total = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetError(nodes_visited=nodes, budget=budget)
+            total += rec(cover | masks[i], alive & ~conflict[i])
+        return total
+
+    return rec(cover, alive), nodes
+
+
 def _count_cover(
     num_vertices: int, masks: list[int], start: int, budget: int
 ) -> tuple[int, int]:
     """Count exact covers extending the partial cover ``start``.
 
-    Always branches on the lowest-id uncovered vertex so the search tree,
-    and with it the node count, is independent of edge order.
+    Branches on the uncovered vertex with the fewest edges left that miss
+    every covered vertex, the lowest id on ties (Knuth's column choice),
+    so the search tree, and with it the node count, does not depend on
+    edge order.
     """
-    full = (1 << num_vertices) - 1
-    incident: list[list[int]] = [[] for _ in range(num_vertices)]
-    for m in masks:
-        mm = m
-        while mm:
-            bit = mm & -mm
-            incident[bit.bit_length() - 1].append(m)
-            mm ^= bit
-    nodes = 0
-
-    def rec(cover: int) -> int:
-        nonlocal nodes
-        if cover == full:
-            return 1
-        free = full & ~cover
-        v = (free & -free).bit_length() - 1
-        total = 0
-        for em in incident[v]:
-            if not (em & cover):
-                nodes += 1
-                if nodes > budget:
-                    raise SearchBudgetError(nodes_visited=nodes, budget=budget)
-                total += rec(cover | em)
-        return total
-
-    return rec(start), nodes
+    alive = sum(1 << i for i, m in enumerate(masks) if not m & start)
+    return _cover_search(_cover_tables(num_vertices, masks), start, alive, budget)
 
 
-def _pm_subtree(args: tuple[int, list[int], int, int]) -> tuple[int, int]:
+def _pm_subtree(
+    tables: _CoverTables, cover: int, alive: int, budget: int
+) -> tuple[int, int]:
     """Count the exact covers below one first-level edge, as (count, nodes).
 
     A subtree that overruns ``budget`` reports ``budget + 1`` nodes: the
     caller only needs to know that the total exceeds its budget.
     """
-    num_vertices, masks, start, budget = args
     try:
-        return _count_cover(num_vertices, masks, start, budget)
+        return _cover_search(tables, cover, alive, budget)
     except SearchBudgetError as exc:
         return 0, exc.nodes_visited
 
@@ -307,27 +379,46 @@ def count_perfect_matchings(
 ) -> int:
     """Exact number of edge subsets partitioning the vertex set.
 
-    Backtracking cover of the lowest-id uncovered vertex; raises
-    SearchBudgetError once more than ``max_nodes`` edges have been tried.
-    With ``threads`` > 1 the subtrees below the first branching vertex
-    are counted in a process pool of at most one worker per subtree and
-    per CPU.  The first-level edges plus the subtree nodes are the serial
-    node count, and the budget applies to that total, so the result or
-    error does not depend on ``threads``.
+    The edges of a perfect matching partition the vertices, so their
+    sizes sum to the vertex count: when the gcd of the edge sizes does
+    not divide it, the answer is 0 without a search.  Otherwise an exact
+    cover search branches on the uncovered vertex with the fewest
+    candidate edges (the lowest id on ties) and raises SearchBudgetError
+    once more than ``max_nodes`` edges have been tried.  An instance
+    whose search tables would exceed ``DEFAULT_TABLE_BIT_CAP`` bits is
+    refused with SizeLimitError first.  With ``threads`` > 1 the subtrees
+    below the root's candidate edges are counted in a process pool of at
+    most one worker per subtree and per CPU.  The root's candidates plus
+    the subtree nodes are the serial node count, and the budget applies
+    to that total, so the result or error does not depend on ``threads``.
     """
     if hg.num_vertices == 0:
         return 1
-    masks = _edge_masks(hg)
-    first = [m for m in masks if m & 1]
-    workers = min(threads, len(first), os.cpu_count() or 1)
+    size_gcd = gcd(*map(len, hg.edges))
+    if not size_gcd or hg.num_vertices % size_gcd:
+        return 0
+    num_edges = len(hg.edges)
+    bits = num_edges * (num_edges + 2 * hg.num_vertices)
+    if bits > DEFAULT_TABLE_BIT_CAP:
+        raise SizeLimitError(
+            f"perfect-matching search over {num_edges} edges and {hg.num_vertices} "
+            f"vertices needs {bits} table bits, above the cap {DEFAULT_TABLE_BIT_CAP}"
+        )
+    tables = _cover_tables(hg.num_vertices, _edge_masks(hg))
+    alive = (1 << num_edges) - 1
+    first = _fewest_candidates(tables.incident, tables.full, alive)
+    workers = min(threads, first.bit_count(), os.cpu_count() or 1)
     if workers > 1:
-        tasks = [(hg.num_vertices, masks, m, max_nodes - len(first)) for m in first]
+        edges = [i for i in range(num_edges) if first >> i & 1]
+        covers = [tables.masks[i] for i in edges]
+        alives = [alive & ~tables.conflict[i] for i in edges]
+        budget = max_nodes - len(edges)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_pm_subtree, tasks))
-        if len(first) + sum(nodes for _, nodes in results) > max_nodes:
+            results = list(pool.map(_pm_subtree, repeat(tables), covers, alives, repeat(budget)))
+        if len(edges) + sum(nodes for _, nodes in results) > max_nodes:
             raise SearchBudgetError(nodes_visited=max_nodes + 1, budget=max_nodes)
         return sum(count for count, _ in results)
-    count, _ = _count_cover(hg.num_vertices, masks, 0, max_nodes)
+    count, _ = _cover_search(tables, 0, alive, max_nodes)
     return count
 
 
@@ -369,7 +460,7 @@ def from_json(text: str) -> Hypergraph:
     if not isinstance(raw["n"], int) or isinstance(raw["n"], bool):
         raise InvalidHypergraphError('field "n": must be an integer')
     if not isinstance(raw["edges"], list) or not all(
-        isinstance(e, list) and all(isinstance(v, int) for v in e) for e in raw["edges"]
+        isinstance(e, list) and all(type(v) is int for v in e) for e in raw["edges"]
     ):
         raise InvalidHypergraphError('field "edges": must be an array of integer arrays')
     num_edges = len(raw["edges"])

@@ -59,6 +59,8 @@ def reference_violations(p, toroidal: bool) -> tuple[tuple[str, int, int], ...]:
 def reference_config_check(n, p) -> tuple:
     """The field-by-field QueensConfig checks, one by one and with no fast
     path: the normalised p, or InvalidConfigError naming the first fault."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InvalidConfigError("field 'n': must be an integer")
     if n < 1:
         raise InvalidConfigError(f"field 'n': must be >= 1, got {n}")
     p = tuple(p)
@@ -170,6 +172,18 @@ EXPOSURE_5 = [
     [4, 6, 6, 6, 4],
     [4, 4, 4, 4, 4],
 ]
+
+
+def brute_force_perfect_matchings(num_vertices: int, edges) -> int:
+    """Number of edge subsets whose edges are pairwise disjoint and cover
+    every vertex, by trying every subset of ``edges``."""
+    count = 0
+    for r in range(len(edges) + 1):
+        for chosen in combinations(edges, r):
+            covered = [v for e in chosen for v in e]
+            if len(covered) == num_vertices and len(set(covered)) == num_vertices:
+                count += 1
+    return count
 
 
 def recording_pool(sizes: list):

@@ -117,6 +117,14 @@ def test_hg_in_over_edge_cap_is_size_limit_error(capsys, monkeypatch, tmp_path):
     assert json.loads(err)["code"] == "size-limit"
 
 
+def test_hg_in_boolean_vertex_ids_are_refused(capsys, tmp_path):
+    path = tmp_path / "hg.json"
+    path.write_text('{"n":2,"edges":[[false,true]]}')
+    code, out, err = run(capsys, ["hg", "--in", str(path), "--count-pm"])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["message"] == 'field "edges": must be an array of integer arrays'
+
+
 def test_unknown_subcommand():
     with pytest.raises(SystemExit) as info:
         cli.main(["frobnicate"])

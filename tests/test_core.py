@@ -130,6 +130,7 @@ def _outcome(check):
         (3.0, (0, 1, 2)),
         (2.5, (0, 1)),
         (True, (0,)),
+        ("3", (0, 1, 2)),
     ],
 )
 def test_construction_matches_field_checks(n, p):

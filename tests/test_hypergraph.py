@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -29,6 +30,7 @@ from queens_lab.hypergraph import (
 )
 
 from helpers import (
+    brute_force_perfect_matchings,
     independent_sts_count,
     independent_sudoku_count,
     independent_transversal_count,
@@ -237,6 +239,106 @@ def test_matching_budget_does_not_depend_on_threads(hg):
             assert isinstance(serial, int)
 
 
+def _irregular_torus():
+    """Torus-5 plus one edge through vertices 0, 6, 12 and 18 (not a square
+    of the board), so vertex 0 has six candidates and vertex 1 five."""
+    torus = build_torus_queens_hg(5)
+    return Hypergraph(torus.num_vertices, torus.edges + ((0, 6, 12, 18),))
+
+
+def test_pool_splits_on_the_serial_root_vertex():
+    hg = _irregular_torus()
+    masks = hypergraph._edge_masks(hg)
+    tables = hypergraph._cover_tables(hg.num_vertices, masks)
+    first = hypergraph._fewest_candidates(tables.incident, tables.full, (1 << len(masks)) - 1)
+    assert first == tables.incident[1] != tables.incident[0]
+    first_level = first.bit_count()
+    count, serial_nodes = hypergraph._count_cover(hg.num_vertices, masks, 0, 10**9)
+    assert count == count_perfect_matchings(hg) >= 10
+    budgets = {0, first_level - 1, first_level, first_level + 1, serial_nodes // 2}
+    budgets |= {serial_nodes - 1, serial_nodes, serial_nodes + 1}
+    for max_nodes in sorted(budgets):
+        serial = _outcome(hg, max_nodes, threads=1)
+        assert _outcome(hg, max_nodes, threads=2) == serial
+        if max_nodes < serial_nodes:
+            assert serial == ("budget", max_nodes + 1, max_nodes)
+        else:
+            assert serial == count
+
+
+@pytest.mark.parametrize(
+    "hg",
+    [
+        build_torus_queens_hg(7),
+        build_sudoku_hg(2),
+        build_transversal_hg(cyclic_latin_square(5)),
+        build_steiner_aux_hg(9, 3, 2),
+    ],
+    ids=["torus-7", "sudoku-2", "transversal-5", "steiner-9-3-2"],
+)
+def test_cover_search_does_not_depend_on_edge_order(hg):
+    masks = hypergraph._edge_masks(hg)
+    expected = hypergraph._count_cover(hg.num_vertices, masks, 0, 10**9)
+    for seed in range(5):
+        shuffled = masks[:]
+        random.Random(seed).shuffle(shuffled)
+        assert hypergraph._count_cover(hg.num_vertices, shuffled, 0, 10**9) == expected
+
+
+def _random_hypergraph(rng):
+    """Up to 9 vertices and 14 distinct edges of sizes 1 to 4 (uniform for
+    some seeds); vertices in no edge stay isolated."""
+    num_vertices = rng.randint(1, 9)
+    sizes = [rng.randint(1, min(4, num_vertices))] if rng.random() < 0.3 else range(1, 5)
+    sizes = [d for d in sizes if d <= num_vertices]
+    edges = {
+        tuple(sorted(rng.sample(range(num_vertices), rng.choice(sizes))))
+        for _ in range(rng.randint(0, 14))
+    }
+    return Hypergraph(num_vertices, tuple(sorted(edges)))
+
+
+def test_matching_counts_match_brute_force():
+    seen = Counter()
+    for seed in range(300):
+        hg = _random_hypergraph(random.Random(seed))
+        expected = brute_force_perfect_matchings(hg.num_vertices, hg.edges)
+        masks = hypergraph._edge_masks(hg)
+        assert hypergraph._count_cover(hg.num_vertices, masks, 0, 10**9)[0] == expected
+        assert count_perfect_matchings(hg) == expected
+        s = stats(hg)
+        seen["matched"] += expected > 0
+        seen["irregular"] += not s.is_regular
+        seen["non-uniform"] += s.d is None
+        seen["isolated vertex"] += len({v for e in hg.edges for v in e}) < hg.num_vertices
+    assert min(seen.values()) >= 30, seen
+
+
+def test_size_gcd_not_dividing_the_vertex_count_means_no_search(monkeypatch):
+    flip3 = build_flip_hg(3)  # 65 vertices, 4-element edges
+    sizes = []
+    monkeypatch.setattr(hypergraph, "ProcessPoolExecutor", recording_pool(sizes))
+    start = time.process_time()
+    for threads in (1, 2):
+        assert count_perfect_matchings(flip3, max_nodes=0, threads=threads) == 0
+    assert time.process_time() - start < 1.0
+    assert sizes == []
+    assert count_perfect_matchings(Hypergraph(6, ((0, 1), (2, 3, 4)))) == 0
+    assert count_perfect_matchings(Hypergraph(1, ())) == 0
+
+
+def test_search_tables_are_capped(monkeypatch):
+    sudoku = build_sudoku_hg(2)  # 64 edges, 64 vertices
+    monkeypatch.setattr(hypergraph, "DEFAULT_TABLE_BIT_CAP", 64 * (64 + 2 * 64))
+    assert count_perfect_matchings(sudoku) == 288
+    monkeypatch.setattr(hypergraph, "DEFAULT_TABLE_BIT_CAP", 64 * (64 + 2 * 64) - 1)
+    with pytest.raises(SizeLimitError, match="needs 12288 table bits, above the cap 12287"):
+        count_perfect_matchings(sudoku)
+    # The gcd rule answers before the tables are sized.
+    monkeypatch.setattr(hypergraph, "DEFAULT_TABLE_BIT_CAP", 0)
+    assert count_perfect_matchings(build_flip_hg(1)) == 0
+
+
 def test_empty_hypergraph_has_one_matching():
     assert count_perfect_matchings(Hypergraph(0, ())) == 1
 
@@ -271,6 +373,12 @@ def test_exchange_roundtrip():
         from_json("{}")
     with pytest.raises(InvalidHypergraphError):
         from_json('{"n":2,"edges":[["a"]]}')
+
+
+@pytest.mark.parametrize("edges", ["[[false,true]]", "[[0,true]]"])
+def test_from_json_refuses_non_integer_vertex_ids(edges):
+    with pytest.raises(InvalidHypergraphError, match='field "edges": must be an array of integer arrays'):
+        from_json('{"n":2,"edges":%s}' % edges)
 
 
 def test_matching_pool_is_clamped_to_subtrees_and_cpus(monkeypatch):

@@ -30,6 +30,9 @@ from .quadrature import DEFAULT_TOL, QuadratureResult, integrate
 # check_lemmas holds every classical solution in memory: 14 200 at n = 12
 # (seconds), 14.8 million at the counting cap of 16 (gigabytes).
 LEMMA_CAP = 12
+# diagonal_exposure_matrix builds every entry: 262 144 at this size, which
+# `bounds --dmatrix` renders in under a second and ~50 MiB of peak RSS.
+DMATRIX_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,12 @@ def diagonal_exposure(n: int, i: int, j: int) -> int:
 
 
 def diagonal_exposure_matrix(n: int) -> list[list[int]]:
+    """diagonal_exposure at every square, row i and column j.  Refuses
+    n < 1 and n > DMATRIX_CAP before building anything."""
+    if n < 1:
+        raise InvalidConfigError(f"board size must be >= 1, got {n}")
+    if n > DMATRIX_CAP:
+        raise SizeLimitError(f"board size {n} exceeds exposure-matrix cap {DMATRIX_CAP}")
     return [[diagonal_exposure(n, i, j) for j in range(n)] for i in range(n)]
 
 
@@ -94,7 +103,11 @@ def concentric_sum(config: QueensConfig) -> int:
     equals the diagonal exposure summed over the queens; tests check the
     two routes against each other.
     """
-    return sum(2 * p.by_three + p.by_two for p in attack_profiles(config))
+    return _pair_sum(attack_profiles(config))
+
+
+def _pair_sum(profiles: list[RowProfile]) -> int:
+    return sum(2 * p.by_three + p.by_two for p in profiles)
 
 
 def concentric_lower_bound(n: int) -> float:
@@ -118,7 +131,7 @@ def check_lemmas(n: int) -> dict:
         profiles = attack_profiles(config)
         if any(p.by_three + p.by_two + p.by_one != n - 1 for p in profiles):
             sums_ok = False
-        lhs = concentric_sum(config)
+        lhs = _pair_sum(profiles)
         rhs = sum(diagonal_exposure(n, y, x) for x, y in config.squares())
         identity_ok = identity_ok and lhs == rhs
         inequality_ok = inequality_ok and lhs >= floor

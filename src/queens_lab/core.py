@@ -10,12 +10,19 @@ On the classical board the same differences are taken over the integers.
 Construction accepts a plain tuple of n distinct plain ints in 0 .. n-1
 at once, by a type check and one set comparison against a cached
 ``range(n)`` set; any other input goes through the field-by-field checks,
-which name the first fault.  The validators decide validity from set sizes alone: a
-placement is valid exactly when each diagonal family takes n distinct
-indices, and the second family is only looked at when the first passes.
-A rejected placement keeps only its permutation, and its ``violations``
-are tallied from it the first time they are read, so filtering many
-placements (the permutation oracle) costs no per-call report building.
+which name the first fault.  Either way the checks run in
+``__post_init__``, once per construction, positional or keyword.
+
+The validators decide validity from set sizes alone: a placement is
+valid exactly when each diagonal family takes n distinct indices, and
+the second family is only looked at when the first passes.  A rejected
+placement gets a private ValidityReport subclass whose ``is_valid`` is a
+class attribute, so the report costs an allocation and one slot write
+holding the permutation; its ``violations`` are tallied from it the
+first time they are read.  Filtering many placements (the permutation
+oracle) thus builds no violation lists.  Every per-n cache holds O(n)
+entries, since the torus validator also checks base boards of 65 537
+squares.
 """
 
 from __future__ import annotations
@@ -50,11 +57,11 @@ class Violation(NamedTuple):
 class ValidityReport:
     """Outcome of a validator: ``is_valid`` and the over-occupied lines.
 
-    Constructed directly it holds the given values.  Validators build
-    invalid reports with ``_invalid``, which keeps the permutation (and
-    the modulus on the torus) and tallies ``violations`` on first access,
-    sorted by (kind, index).  Immutable; equality, hash and repr go by
-    ``(is_valid, violations)``.
+    Constructed directly it holds the given values.  Validators reject a
+    placement with a ``_Rejected`` report, which keeps the permutation
+    (and the modulus on the torus) and tallies ``violations`` on first
+    access, sorted by (kind, index).  Immutable; equality, hash and repr
+    go by ``(is_valid, violations)``.
     """
 
     __slots__ = ("is_valid", "_violations", "_pending")
@@ -63,15 +70,6 @@ class ValidityReport:
         object.__setattr__(self, "is_valid", is_valid)
         object.__setattr__(self, "_violations", violations)
         object.__setattr__(self, "_pending", None)
-
-    @classmethod
-    def _invalid(cls, p: tuple[int, ...], modulus: int | None) -> "ValidityReport":
-        """A rejected placement ``p``; ``modulus`` is n on the torus and
-        None on the classical board."""
-        report = object.__new__(cls)
-        object.__setattr__(report, "is_valid", False)
-        object.__setattr__(report, "_pending", (p, modulus))
-        return report
 
     @property
     def violations(self) -> tuple[Violation, ...]:
@@ -111,6 +109,20 @@ class ValidityReport:
 
     def __reduce__(self):
         return ValidityReport, (self.is_valid, self.violations)
+
+
+class _Rejected(ValidityReport):
+    """A rejected placement, as a validator returns it.  ``is_valid`` is a
+    class attribute, so building one is an allocation and one write of
+    ``_pending``: (p, modulus), with modulus n on the torus and None on
+    the classical board.  Pickles as a plain ValidityReport."""
+
+    __slots__ = ()
+    is_valid = False
+
+
+_new = object.__new__
+_set_pending = ValidityReport._pending.__set__
 
 
 @dataclass(frozen=True)
@@ -196,7 +208,9 @@ def validate_toroidal(config: QueensConfig) -> ValidityReport:
         and len(set(map(wrap, map(sub, p, rows)))) == n
     ):
         return _VALID
-    return ValidityReport._invalid(p, config.n)
+    report = _new(_Rejected)
+    _set_pending(report, (p, n))
+    return report
 
 
 def validate_classical(config: QueensConfig) -> ValidityReport:
@@ -210,7 +224,9 @@ def validate_classical(config: QueensConfig) -> ValidityReport:
     rows = range(n)
     if len(set(map(add, p, rows))) == n and len(set(map(sub, p, rows))) == n:
         return _VALID
-    return ValidityReport._invalid(p, None)
+    report = _new(_Rejected)
+    _set_pending(report, (p, None))
+    return report
 
 
 def serialize(config: QueensConfig) -> str:

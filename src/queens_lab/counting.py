@@ -10,8 +10,10 @@ Candidates are tried lowest column first, so enumerate_solutions yields
 placements in lexicographic order.  A brute-force permutation filter
 provides an independent slow check: oracle_counts makes one pass over
 the n! permutations for any set of modes, building each permutation once
-as a checked QueensConfig and handing it to every mode's core validator
-(looked up per call); oracle_count is that pass for one mode.
+as a checked QueensConfig (positionally, through the same
+``__post_init__`` checks as every construction) and handing it to every
+mode's core validator (looked up per call); oracle_count is that pass
+for one mode.
 
 The search is reduced by symmetry.  Translation x -> x + c maps toroidal
 solutions onto toroidal solutions, and the mirror x -> n - 1 - x maps
@@ -221,13 +223,11 @@ def oracle_counts(n: int, modes: tuple[str, ...]) -> tuple[CountResult, ...]:
         _check_mode(mode)
     _check_size(n, ORACLE_CAP)
     # Looked up per call, so a replaced core validator is the one used.
-    validators = [getattr(core, f"validate_{mode}") for mode in modes]
+    validators = [(i, getattr(core, f"validate_{mode}")) for i, mode in enumerate(modes)]
     counts = [0] * len(modes)
-    checked = 0
-    for perm in permutations(range(n)):
-        checked += 1
-        config = QueensConfig(n=n, p=perm)
-        for i, validate in enumerate(validators):
+    for checked, perm in enumerate(permutations(range(n)), 1):
+        config = QueensConfig(n, perm)
+        for i, validate in validators:
             if validate(config).is_valid:
                 counts[i] += 1
     return tuple(CountResult(n, mode, c, checked) for mode, c in zip(modes, counts))

@@ -8,6 +8,7 @@ import json
 import math
 import random
 import time
+from pathlib import Path
 
 from queens_lab import cli
 from queens_lab.bounds import (
@@ -243,10 +244,16 @@ def test_criterion_9_full_verify_determinism(capsys):
         assert code == 0
         return out
 
+    pinned = (Path(__file__).parent / "data" / "verify_full.json").read_text(encoding="utf-8")
     first = run("1")
     second = run("1")
     third = run("8")
     payload = json.loads(first)
-    ok = payload["passed"] and first == second == third
+    ok = payload["passed"] and pinned == first == second == third
     with capsys.disabled():
-        report(9, ok, "verify --level full byte-identical across repeats and threads 1 vs 8")
+        report(
+            9,
+            ok,
+            "verify --level full byte-identical to the pinned report, across repeats "
+            "and threads 1 vs 8",
+        )

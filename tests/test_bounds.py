@@ -38,6 +38,24 @@ def test_exposure_formula_matches_brute_force(n):
             assert diagonal_exposure(n, i, j) == brute_force_diagonal_exposure(n, i, j)
 
 
+def test_exposure_matrix_is_bounded_before_it_builds(monkeypatch):
+    monkeypatch.setattr(bounds, "DMATRIX_CAP", 6)
+    assert diagonal_exposure_matrix(6) == [
+        [brute_force_diagonal_exposure(6, i, j) for j in range(6)] for i in range(6)
+    ]
+
+    def no_build(*args):
+        raise AssertionError("diagonal_exposure_matrix built past its bounds")
+
+    monkeypatch.setattr(bounds, "diagonal_exposure", no_build)
+    for n in (7, 10**9):
+        with pytest.raises(SizeLimitError, match="exposure-matrix cap 6"):
+            diagonal_exposure_matrix(n)
+    for n in (0, -2):
+        with pytest.raises(InvalidConfigError, match="must be >= 1"):
+            diagonal_exposure_matrix(n)
+
+
 def test_exposure_out_of_range():
     with pytest.raises(InvalidConfigError):
         diagonal_exposure(5, 5, 0)

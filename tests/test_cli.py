@@ -228,6 +228,20 @@ def test_bounds_dmatrix_csv(capsys):
     assert rows[2][2] == "8"
 
 
+def test_bounds_dmatrix_out_of_range_is_json_error(capsys, monkeypatch):
+    monkeypatch.setattr("queens_lab.bounds.DMATRIX_CAP", 6)
+    assert len(run_json(capsys, ["bounds", "--dmatrix", "6"])["matrix"]) == 6
+    for argv, code in (
+        (["bounds", "--dmatrix", "7"], "size-limit"),
+        (["bounds", "--dmatrix", "0"], "invalid-config"),
+        (["bounds", "--dmatrix", "-2"], "invalid-config"),
+        (["bounds", "--dmatrix", "7", "--format", "csv"], "size-limit"),
+    ):
+        exit_code, out, err = run(capsys, argv)
+        assert (exit_code, out) == (1, "")
+        assert json.loads(err)["code"] == code
+
+
 def test_bounds_profile_from_file(capsys, tmp_path):
     path = tmp_path / "config.json"
     path.write_text('{"n":4,"p":[1,3,0,2]}')

@@ -136,6 +136,10 @@ def _outcome(check):
 def test_construction_matches_field_checks(n, p):
     built = _outcome(lambda: QueensConfig(n=n, p=p).p)
     assert built == _outcome(lambda: reference_config_check(n, p))
+    # The oracle builds positionally: the same checks and the same config.
+    assert _outcome(lambda: QueensConfig(n, p).p) == built
+    if built[0] == "ok":
+        assert QueensConfig(n, p) == QueensConfig(n=n, p=p)
 
 
 def test_serialize_schema():
@@ -200,6 +204,7 @@ def test_agrees_with_pairwise_checker_on_random_permutations():
     "validator,toroidal", [(validate_classical, False), (validate_toroidal, True)]
 )
 def test_reports_match_counter_reference_exhaustive(validator, toroidal):
+    import pickle
     from itertools import permutations
 
     for n in range(1, 7):
@@ -209,6 +214,17 @@ def test_reports_match_counter_reference_exhaustive(validator, toroidal):
             assert report.is_valid == (expected == ())
             assert report.violations == expected
             assert report.violations == expected  # second read: same tally
+            # Each report below is fresh, so its first read is its own
+            # tally: a rejected report behaves as the constructed one.
+            direct = ValidityReport(expected == (), tuple(Violation(*v) for v in expected))
+            assert isinstance(validator(cfg(p)), ValidityReport)
+            assert validator(cfg(p)) == direct
+            assert direct == validator(cfg(p))
+            assert hash(validator(cfg(p))) == hash(direct)
+            assert repr(validator(cfg(p))) == repr(direct)
+            restored = pickle.loads(pickle.dumps(validator(cfg(p))))
+            assert type(restored) is ValidityReport
+            assert repr(restored) == repr(direct)
 
 
 def test_lazy_report_equality_hash_and_repr():
@@ -230,12 +246,51 @@ def test_valid_report_equals_constructed_one():
     assert validate_classical(cfg([0, 1])) != expected
 
 
+def test_torus_validation_keeps_no_quadratic_cache():
+    # The validators also check base boards of n = 65 537 squares, where
+    # an n x n table would hold 4.3e9 entries.  A fresh interpreter, so
+    # that every per-n cache is built inside the measurement.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import queens_lab
+
+    script = (
+        "import tracemalloc\n"
+        "from queens_lab.construction import build_base_config\n"
+        "from queens_lab.core import validate_toroidal\n"
+        "config = build_base_config(8)\n"
+        "tracemalloc.start()\n"
+        "assert validate_toroidal(config).is_valid\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    src = str(Path(queens_lab.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert int(done.stdout) < 16 * 2**20
+
+
 def test_report_is_immutable_and_pickles():
     import pickle
 
-    report = validate_toroidal(cfg([0, 1, 2, 3]))
-    with pytest.raises(AttributeError):
-        report.is_valid = True
-    with pytest.raises(AttributeError):
-        del report.violations
-    assert pickle.loads(pickle.dumps(report)) == report
+    for report in (
+        validate_toroidal(cfg([0, 1, 2, 3])),
+        validate_classical(cfg([0, 1])),
+        ValidityReport(False, (Violation("minus-diagonal", 0, 2),)),
+    ):
+        before = repr(report)
+        for name in ("is_valid", "violations", "_pending", "_violations", "other"):
+            with pytest.raises(AttributeError):
+                setattr(report, name, True)
+            with pytest.raises(AttributeError):
+                delattr(report, name)
+        assert report.is_valid is False
+        assert repr(report) == before
+        assert pickle.loads(pickle.dumps(report)) == report

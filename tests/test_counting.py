@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from queens_lab import counting
-from queens_lab.core import validate_classical, validate_toroidal
+from queens_lab.core import QueensConfig, validate_classical, validate_toroidal
 from queens_lab.counting import (
     CountResult,
     count_classical,
@@ -55,6 +55,22 @@ def test_oracle_is_a_permutation_filter():
         and len({p[y] - y for y in range(n)}) == n
     )
     assert oracle_count(n, "classical").count == literal == 4
+
+
+def test_oracle_checks_every_permutation_once(monkeypatch):
+    # perfbench/tracer.py counts boards built by wrapping __post_init__ on
+    # the class, as here: every oracle board must run the checks.
+    checks = QueensConfig.__post_init__
+    built = []
+
+    def counted(config):
+        built.append(config.p)
+        checks(config)
+
+    monkeypatch.setattr(QueensConfig, "__post_init__", counted)
+    results = oracle_counts(6, counting.MODES)
+    assert built == list(permutations(range(6)))
+    assert [(r.count, r.nodes_visited) for r in results] == [(4, 720), (0, 720)]
 
 
 def test_count_result_fields():

@@ -75,25 +75,35 @@ def attack_profiles(config: QueensConfig) -> list[RowProfile]:
     when occupied; that count is always 1, 2 or 3, and the queen's own
     square is the unique position ruled out by no other row.
     """
+    return [RowProfile(y, *counts) for y, counts in enumerate(_rule_out_counts(config))]
+
+
+def _rule_out_counts(config: QueensConfig) -> list[tuple[int, int, int]]:
+    """(by_three, by_two, by_one) for each row of a classical solution.
+
+    Row y's columns on an occupied sum diagonal form the set
+    A = {s - y : s a queen's x + y} and those on an occupied difference
+    diagonal B = {d + y : d a queen's x - y}, both cut to 0..n-1 and
+    without p[y].  Then by_three = |A & B| and by_two = |A ^ B|.  The sets
+    are bit masks: one shift of the board-wide mask per row.
+    """
     if not validate_classical(config).is_valid:
         raise InvalidConfigError("config is not a valid classical solution")
     n = config.n
-    sum_rows = {config.p[y] + y for y in range(n)}
-    diff_rows = {config.p[y] - y for y in range(n)}
-    profiles = []
-    for y in range(n):
-        by = [0, 0, 0, 0]
-        for x in range(n):
-            if x == config.p[y]:
-                continue
-            count = 1  # the queen in column x, never in row y
-            if x + y in sum_rows:
-                count += 1
-            if x - y in diff_rows:
-                count += 1
-            by[count] += 1
-        profiles.append(RowProfile(row=y, by_three=by[3], by_two=by[2], by_one=by[1]))
-    return profiles
+    row_mask = (1 << n) - 1
+    sums = diffs = 0
+    for y, x in enumerate(config.p):
+        sums |= 1 << (x + y)
+        diffs |= 1 << (x - y + n - 1)
+    counts = []
+    for y, x in enumerate(config.p):
+        others = row_mask & ~(1 << x)
+        on_sum = (sums >> y) & others
+        on_diff = (diffs >> (n - 1 - y)) & others
+        three = (on_sum & on_diff).bit_count()
+        two = (on_sum ^ on_diff).bit_count()
+        counts.append((three, two, n - 1 - three - two))
+    return counts
 
 
 def concentric_sum(config: QueensConfig) -> int:
@@ -103,11 +113,11 @@ def concentric_sum(config: QueensConfig) -> int:
     equals the diagonal exposure summed over the queens; tests check the
     two routes against each other.
     """
-    return _pair_sum(attack_profiles(config))
+    return _pair_sum(_rule_out_counts(config))
 
 
-def _pair_sum(profiles: list[RowProfile]) -> int:
-    return sum(2 * p.by_three + p.by_two for p in profiles)
+def _pair_sum(counts: list[tuple[int, int, int]]) -> int:
+    return sum(2 * three + two for three, two, _ in counts)
 
 
 def concentric_lower_bound(n: int) -> float:
@@ -128,10 +138,10 @@ def check_lemmas(n: int) -> dict:
     inequality_ok = True
     sums_ok = True
     for config in solutions:
-        profiles = attack_profiles(config)
-        if any(p.by_three + p.by_two + p.by_one != n - 1 for p in profiles):
+        counts = _rule_out_counts(config)
+        if any(sum(row) != n - 1 for row in counts):
             sums_ok = False
-        lhs = _pair_sum(profiles)
+        lhs = _pair_sum(counts)
         rhs = sum(diagonal_exposure(n, y, x) for x, y in config.squares())
         identity_ok = identity_ok and lhs == rhs
         inequality_ok = inequality_ok and lhs >= floor

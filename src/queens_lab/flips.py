@@ -13,6 +13,14 @@ on unordered row pairs with no fixed point, so the number of distinct
 flips is n(n-1)/4 and each unoccupied square belongs to the added set of
 exactly one flip.  Disjoint flips (sharing no removed queen) compose
 freely and the composition is reversible.
+
+Selection never lists every flip.  Without a seed it scans unoccupied
+squares column by column and keeps the flips whose canonical square it
+meets, skipping any column whose base queen is already used.  With a seed
+it draws uniform unoccupied squares: every flip owns exactly four of
+them, so each accepted draw is uniform over the flips still available.
+``enumerate_flips`` is the one place that builds every flip, and it
+refuses more than ``FLIP_CAP`` before it starts.
 """
 
 from __future__ import annotations
@@ -29,7 +37,12 @@ from .errors import (
     GreedyExhaustionError,
     InternalConsistencyError,
     ReconstructionError,
+    SizeLimitError,
 )
+
+# enumerate_flips builds at most this many flips (k <= 5 fits; k = 6 has
+# 4.2 million), the same bound the flip hypergraph applies to its edges.
+FLIP_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -156,13 +169,21 @@ def flip_for_square(params: BaseParams, square: Square) -> Flip:
     return flip
 
 
-def enumerate_flips(params: BaseParams) -> list[Flip]:
+def enumerate_flips(params: BaseParams, cap: int | None = None) -> list[Flip]:
     """All n(n-1)/4 flips of the base configuration, sorted by canonical id.
 
     Each flip arises from exactly two row pairs (a pair and its
     companion), so deduplication by canonical id halves the pair count.
+    More than ``cap`` flips (default ``FLIP_CAP``) raise SizeLimitError
+    before any pair is visited.
     """
     n = params.n
+    count = n * (n - 1) // 4
+    cap = FLIP_CAP if cap is None else cap
+    if count > cap:
+        raise SizeLimitError(
+            f"flip enumeration at k = {params.k} ({count} flips) exceeds the edge cap {cap}"
+        )
     inv = mod_inverse(params.m + 1, n)
     by_id: dict[Square, Flip] = {}
     for y1 in range(n):
@@ -170,10 +191,8 @@ def enumerate_flips(params: BaseParams) -> list[Flip]:
             flip = _flip_from_pair(params, inv, y1, y2)
             by_id.setdefault(flip.canonical_id, flip)
     flips = [by_id[key] for key in sorted(by_id)]
-    if len(flips) != n * (n - 1) // 4:
-        raise InternalConsistencyError(
-            f"expected {n * (n - 1) // 4} flips, found {len(flips)}"
-        )
+    if len(flips) != count:
+        raise InternalConsistencyError(f"expected {count} flips, found {len(flips)}")
     return flips
 
 
@@ -185,27 +204,110 @@ def flips_disjoint(f1: Flip, f2: Flip) -> bool:
 def greedy_disjoint_flips(params: BaseParams, t: int, seed: int | None = None) -> FlipSet:
     """Greedily pick t pairwise-disjoint flips.
 
-    Candidates are scanned in canonical-id order, or in a seeded uniform
-    shuffle when a seed is given.  Each flip rules out at most 4(n-1)
-    others, so t = floor(n/16) always succeeds; larger t may exhaust the
-    pass and raises with the count achieved.
+    Without a seed: the first t flips, in canonical-id order, that are
+    disjoint from those kept before them.  Squares are scanned column by
+    column; every flip with a square in column x removes the base queen
+    of that column, so the column is skipped once that queen's row is
+    used.  Otherwise the companion rows are computed as integers, and a
+    flip is built only once all four of its rows are free: every flip
+    with a square in an earlier column already has a used row, so that
+    square is the flip's canonical id.
+
+    With a seed: a uniform unoccupied square is drawn and mapped to its
+    flip, which is kept when it shares no row with those kept so far.
+    Each flip owns exactly four unoccupied squares, so every kept flip is
+    uniform over the disjoint flips still available: the distribution of a
+    greedy scan over a seeded shuffle of all flips.  After n rejections in
+    a row the remaining disjoint flips are enumerated, shuffled with the
+    same generator and scanned, so exhaustion reports the true greedy
+    count (and a board too large to enumerate raises SizeLimitError).
+
+    Each flip rules out at most 4(n-1) others, so t = floor(n/16) always
+    succeeds; larger t may exhaust the pass and raises with the count
+    achieved.
     """
     if t < 0:
         raise FlipError(f"t must be >= 0, got {t}")
-    candidates = enumerate_flips(params)
-    if seed is not None:
-        random.Random(seed).shuffle(candidates)
-    chosen: list[Flip] = []
-    used: set[int] = set()
-    for flip in candidates:
-        if len(chosen) == t:
-            break
-        if not (used & flip.rows):
-            chosen.append(flip)
-            used |= flip.rows
+    if seed is None:
+        chosen = _first_disjoint(params, t)
+    else:
+        chosen = _sampled_disjoint(params, t, random.Random(seed))
     if len(chosen) < t:
         raise GreedyExhaustionError(requested=t, achieved=len(chosen))
     return FlipSet(flips=tuple(chosen))
+
+
+def _first_disjoint(params: BaseParams, t: int) -> list[Flip]:
+    """Up to t flips, each the first in canonical-id order disjoint from
+    those before it."""
+    n, m = params.n, params.m
+    inv = mod_inverse(m + 1, n)
+    inv_m = mod_inverse(m, n)
+    chosen: list[Flip] = []
+    used = bytearray(n)
+    low = 0  # every row below low is used
+    for x in range(n):
+        if len(chosen) == t:
+            break
+        y1 = inv_m * x % n
+        if used[y1]:
+            continue
+        # The flip of square (x, y) has rows y1, y, y3 = inv (m y + y1) and
+        # y4 = inv (m y1 + y).  A flip with an added square in an earlier
+        # column c already has a used row: column c's base queen row was
+        # used, or a flip was kept in column c, or this flip was refused
+        # there.  So the first square met whose flip has four free rows is
+        # that flip's canonical id.
+        for y in range(low, n):
+            if used[y] or y == y1:
+                continue
+            y3 = inv * (m * y + y1) % n
+            y4 = inv * (m * y1 + y) % n
+            if used[y3] or used[y4]:
+                continue
+            flip = _flip_from_pair(params, inv, y1, y)
+            if flip.canonical_id != (x, y):
+                raise InternalConsistencyError(f"square {(x, y)} is not its flip's canonical id")
+            chosen.append(flip)
+            for row in (y1, y, y3, y4):
+                used[row] = 1
+            while low < n and used[low]:
+                low += 1
+            break
+    return chosen
+
+
+def _sampled_disjoint(params: BaseParams, t: int, rng: random.Random) -> list[Flip]:
+    """Up to t disjoint flips, each uniform over those still available."""
+    n, m = params.n, params.m
+    inv = mod_inverse(m + 1, n)
+    inv_m = mod_inverse(m, n)
+    chosen: list[Flip] = []
+    used: set[int] = set()
+    misses = 0
+    while len(chosen) < t and misses < n:
+        y = rng.randrange(n)
+        x = rng.randrange(n - 1)
+        if x >= m * y % n:
+            x += 1  # skip the base queen's column
+        y1 = inv_m * x % n
+        rows = {y1, y, inv * (m * y + y1) % n, inv * (m * y1 + y) % n}
+        if used & rows:
+            misses += 1
+            continue
+        misses = 0
+        chosen.append(_flip_from_pair(params, inv, y1, y))
+        used |= rows
+    if len(chosen) < t:
+        rest = [f for f in enumerate_flips(params) if not (used & f.rows)]
+        rng.shuffle(rest)
+        for flip in rest:
+            if len(chosen) == t:
+                break
+            if not (used & flip.rows):
+                chosen.append(flip)
+                used |= flip.rows
+    return chosen
 
 
 def _require_base(base: QueensConfig) -> BaseParams:

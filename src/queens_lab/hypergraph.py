@@ -217,8 +217,7 @@ def build_flip_hg(k: int) -> Hypergraph:
     it is kept as a regularity and codegree test case.
     """
     params = capped_params(k)
-    _check_edge_cap(params.n * (params.n - 1) // 4, f"flip hypergraph at k = {k}", DEFAULT_EDGE_CAP)
-    flips = enumerate_flips(params)
+    flips = enumerate_flips(params, cap=DEFAULT_EDGE_CAP)
     edges = tuple(tuple(sorted(f.rows)) for f in flips)
     return Hypergraph(params.n, edges)
 

@@ -113,8 +113,6 @@ def _board_checks(bases: dict, full: bool) -> list[dict]:
             distinct = {b.p for b in boards}
             distinct_ok = len(distinct) == len(boards) and base.p not in distinct
             num_distinct = len(distinct)
-    # The round trip enumerates flips of its own; release these first.
-    del all_flips, tried, boards
 
     k_round = max(bases)
     base = bases[k_round]

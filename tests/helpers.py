@@ -76,6 +76,43 @@ def reference_config_check(n, p) -> tuple:
     return p
 
 
+def reference_attack_profiles(p) -> list[tuple[int, int, int]]:
+    """(by_three, by_two, by_one) per row of a classical solution, by
+    counting the rows that rule out each square of the row in turn."""
+    n = len(p)
+    sum_rows = {p[y] + y for y in range(n)}
+    diff_rows = {p[y] - y for y in range(n)}
+    profiles = []
+    for y in range(n):
+        by = [0, 0, 0, 0]
+        for x in range(n):
+            if x == p[y]:
+                continue
+            count = 1  # the queen in column x, never in row y
+            if x + y in sum_rows:
+                count += 1
+            if x - y in diff_rows:
+                count += 1
+            by[count] += 1
+        profiles.append((by[3], by[2], by[1]))
+    return profiles
+
+
+def reference_greedy_scan(all_flips, t: int) -> list:
+    """Up to t flips: scan ``all_flips`` in order and keep each flip that
+    shares no removed row with those already kept."""
+    chosen = []
+    used: set[int] = set()
+    for flip in all_flips:
+        if len(chosen) == t:
+            break
+        rows = {s.y for s in flip.removed}
+        if not (used & rows):
+            chosen.append(flip)
+            used |= rows
+    return chosen
+
+
 def brute_force_diagonal_exposure(n: int, i: int, j: int) -> int:
     """Count squares sharing a diagonal with (i, j) by direct scan."""
     count = 0

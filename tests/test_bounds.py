@@ -19,7 +19,7 @@ from queens_lab.core import QueensConfig
 from queens_lab.counting import enumerate_solutions
 from queens_lab.errors import InvalidConfigError, SizeLimitError
 
-from helpers import EXPOSURE_5, brute_force_diagonal_exposure
+from helpers import EXPOSURE_5, brute_force_diagonal_exposure, reference_attack_profiles
 
 ALPHA_CLOSED = 3.0 - 2.0 * math.sqrt(3.0 / 5.0) * math.atan(math.sqrt(5.0 / 3.0))
 
@@ -82,6 +82,16 @@ def test_attack_profiles_single_queen():
 def test_attack_profiles_require_classical_solution():
     with pytest.raises(InvalidConfigError):
         attack_profiles(QueensConfig(n=4, p=(0, 1, 2, 3)))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_attack_profiles_match_square_by_square_reference(n):
+    for config in enumerate_solutions(n, "classical"):
+        profiles = attack_profiles(config)
+        assert [p.row for p in profiles] == list(range(n))
+        assert [(p.by_three, p.by_two, p.by_one) for p in profiles] == (
+            reference_attack_profiles(config.p)
+        )
 
 
 @pytest.mark.parametrize("n", range(4, 7))

@@ -1,9 +1,11 @@
+import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from queens_lab import flips
+from queens_lab import cli, flips
 from queens_lab.construction import BaseParams, build_base_config
 from queens_lab.core import QueensConfig, Square, validate_toroidal
 from queens_lab.errors import (
@@ -11,6 +13,7 @@ from queens_lab.errors import (
     GreedyExhaustionError,
     QueensLabError,
     ReconstructionError,
+    SizeLimitError,
 )
 from queens_lab.flips import (
     FlipSet,
@@ -23,6 +26,8 @@ from queens_lab.flips import (
     lower_bound_log_count,
     reconstruct_flips,
 )
+
+from helpers import reference_greedy_scan
 
 P1 = BaseParams.from_k(1)
 P2 = BaseParams.from_k(2)
@@ -275,3 +280,97 @@ def test_enumerate_flips_inverts_m_plus_one_once(monkeypatch):
     monkeypatch.setattr(flips, "mod_inverse", counted)
     assert len(enumerate_flips(P2)) == 17 * 16 // 4
     assert calls == [(P2.m + 1, P2.n)]
+
+
+@pytest.mark.parametrize("params", [P1, P2, P3])
+def test_unseeded_selection_matches_enumerate_then_scan(params):
+    all_flips = enumerate_flips(params)
+    most = len(reference_greedy_scan(all_flips, len(all_flips)))
+    for t in range(most + 2):
+        expected = reference_greedy_scan(all_flips, t)
+        if t <= most:
+            assert greedy_disjoint_flips(params, t).flips == tuple(expected)
+        else:
+            with pytest.raises(GreedyExhaustionError) as info:
+                greedy_disjoint_flips(params, t)
+            assert (info.value.requested, info.value.achieved) == (t, most)
+
+
+@pytest.mark.parametrize("t", [1, 2, 4, 8])
+def test_seeded_picks_are_disjoint_and_round_trip(t):
+    base = build_base_config(3)
+    for seed in range(10):
+        chosen = greedy_disjoint_flips(P3, t, seed=seed)
+        rows = [s.y for f in chosen for s in f.removed]
+        assert len(chosen) == t and len(rows) == len(set(rows)) == 4 * t
+        board = apply_flips(base, chosen)
+        assert validate_toroidal(board).is_valid
+        assert reconstruct_flips(base, board) == chosen
+
+
+def test_seeded_single_pick_is_uniform():
+    # 6 800 seeds over the 68 flips of k = 2: 100 hits expected per flip.
+    # The chi-square statistic has 67 degrees of freedom (mean 67, sd
+    # 11.6); 110 is about 3.7 sd above the mean.
+    hits = Counter(greedy_disjoint_flips(P2, 1, seed=s).flips[0] for s in range(6800))
+    assert set(hits) == set(enumerate_flips(P2))
+    expected = 6800 / 68
+    assert sum((h - expected) ** 2 / expected for h in hits.values()) < 110
+
+
+def test_seeded_exhaustion_reports_greedy_count():
+    with pytest.raises(GreedyExhaustionError) as info:
+        greedy_disjoint_flips(P1, 2, seed=0)
+    assert (info.value.requested, info.value.achieved) == (2, 1)
+
+
+def test_seeded_selection_at_k8_never_enumerates(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_flips called")
+
+    monkeypatch.setattr(flips, "enumerate_flips", refuse)
+    params = BaseParams.from_k(8)
+    chosen = greedy_disjoint_flips(params, params.n // 16, seed=1)
+    assert len(chosen) == 4096
+    base = build_base_config(8)
+    board = apply_flips(base, chosen)
+    assert validate_toroidal(board).is_valid
+    assert reconstruct_flips(base, board) == chosen
+
+
+def test_enumeration_is_bounded_before_any_pair(monkeypatch):
+    pairs = []
+    build = flips._flip_from_pair
+
+    def counted(*args):
+        pairs.append(args[2:])
+        return build(*args)
+
+    monkeypatch.setattr(flips, "_flip_from_pair", counted)
+    monkeypatch.setattr(flips, "FLIP_CAP", 68)
+    assert len(enumerate_flips(P2)) == 68
+    pairs.clear()
+    monkeypatch.setattr(flips, "FLIP_CAP", 67)
+    with pytest.raises(SizeLimitError, match="68 flips"):
+        enumerate_flips(P2)
+    assert pairs == []
+
+
+def test_seeded_fallback_goes_through_the_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(flips, "FLIP_CAP", 67)
+    assert len(greedy_disjoint_flips(P2, 2, seed=0)) == 2
+    assert len(greedy_disjoint_flips(P2, 4)) == 4  # the unseeded scan never enumerates
+    with pytest.raises(SizeLimitError):
+        greedy_disjoint_flips(P2, 17, seed=0)
+
+
+@pytest.mark.parametrize("cap, code", [(68, 0), (67, 1)])
+def test_flips_cli_over_the_cap_is_size_limit_error(monkeypatch, capsys, cap, code):
+    monkeypatch.setattr(flips, "FLIP_CAP", cap)
+    assert cli.main(["flips", "--k", "2", "--count"]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert json.loads(out)["count"] == 68
+    else:
+        assert out == ""
+        assert json.loads(err)["code"] == "size-limit"

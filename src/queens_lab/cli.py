@@ -129,10 +129,10 @@ def _run_construct(args, parser) -> Any:
 
 def _run_flips(args, parser) -> Any:
     params = capped_params(args.k)
-    all_flips = enumerate_flips(params)
-    payload = {"k": args.k, "n": params.n, "count": len(all_flips)}
+    n = params.n
+    payload = {"k": args.k, "n": n, "count": n * (n - 1) // 4}
     if args.list:
-        payload["flips"] = [_flip_payload(f) for f in all_flips]
+        payload["flips"] = [_flip_payload(f) for f in enumerate_flips(params)]
     return payload
 
 

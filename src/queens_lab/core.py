@@ -36,8 +36,6 @@ from typing import NamedTuple
 
 from .errors import InvalidConfigError
 
-CONSTRAINT_KINDS = ("row", "column", "plus-diagonal", "minus-diagonal")
-
 
 class Square(NamedTuple):
     """A board square; compares lexicographically by (x, y)."""

@@ -14,13 +14,15 @@ flips is n(n-1)/4 and each unoccupied square belongs to the added set of
 exactly one flip.  Disjoint flips (sharing no removed queen) compose
 freely and the composition is reversible.
 
-Selection never lists every flip.  Without a seed it scans unoccupied
-squares column by column and keeps the flips whose canonical square it
-meets, skipping any column whose base queen is already used.  With a seed
-it draws uniform unoccupied squares: every flip owns exactly four of
-them, so each accepted draw is uniform over the flips still available.
-``enumerate_flips`` is the one place that builds every flip, and it
-refuses more than ``FLIP_CAP`` before it starts.
+As m^2 = n - 1, m^-1 = n - m (mod n): column x's base queen is in row (n - m) x.
+
+One scan of the unoccupied squares, column by column, meets the flips in
+canonical-id order.  ``enumerate_flips`` lists everything it yields, and
+refuses more than ``FLIP_CAP`` flips before it starts; unseeded selection
+marks the rows of each flip it keeps, so the scan yields only flips
+disjoint from those.  Seeded selection draws uniform unoccupied squares:
+every flip owns exactly four of them, so each accepted draw is uniform
+over the flips still available.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 from .construction import BaseParams, capped_params, mod_inverse
@@ -160,7 +163,7 @@ def flip_for_square(params: BaseParams, square: Square) -> Flip:
     x, y = square
     if not (0 <= x < n and 0 <= y < n):
         raise FlipError(f"square {tuple(square)} outside board of size {n}")
-    y1 = (mod_inverse(m, n) * x) % n
+    y1 = (n - m) * x % n
     if y1 == y:
         raise FlipError(f"square {tuple(square)} is occupied in the base configuration")
     flip = _flip_from_pair(params, mod_inverse(m + 1, n), y1, y)
@@ -169,31 +172,54 @@ def flip_for_square(params: BaseParams, square: Square) -> Flip:
     return flip
 
 
-def enumerate_flips(params: BaseParams, cap: int | None = None) -> list[Flip]:
+def enumerate_flips(params: BaseParams) -> list[Flip]:
     """All n(n-1)/4 flips of the base configuration, sorted by canonical id.
 
-    Each flip arises from exactly two row pairs (a pair and its
-    companion), so deduplication by canonical id halves the pair count.
-    More than ``cap`` flips (default ``FLIP_CAP``) raise SizeLimitError
-    before any pair is visited.
+    More than ``FLIP_CAP`` flips raise SizeLimitError before any square
+    is visited.
     """
     n = params.n
     count = n * (n - 1) // 4
-    cap = FLIP_CAP if cap is None else cap
-    if count > cap:
+    if count > FLIP_CAP:
         raise SizeLimitError(
-            f"flip enumeration at k = {params.k} ({count} flips) exceeds the edge cap {cap}"
+            f"flip enumeration at k = {params.k} ({count} flips) exceeds the edge cap {FLIP_CAP}"
         )
-    inv = mod_inverse(params.m + 1, n)
-    by_id: dict[Square, Flip] = {}
-    for y1 in range(n):
-        for y2 in range(y1 + 1, n):
-            flip = _flip_from_pair(params, inv, y1, y2)
-            by_id.setdefault(flip.canonical_id, flip)
-    flips = [by_id[key] for key in sorted(by_id)]
+    flips = list(_free_flips(params, bytearray(n)))
     if len(flips) != count:
         raise InternalConsistencyError(f"expected {count} flips, found {len(flips)}")
     return flips
+
+
+def _free_flips(params: BaseParams, used: bytearray) -> Iterator[Flip]:
+    """Flips in canonical-id order whose four rows are free in ``used``.
+
+    ``used`` is read as the scan goes, so rows the caller marks between
+    yields rule out later flips.  The flip of the unoccupied square (x, y)
+    has rows y1 = (n - m) x (the column queen's row), y,
+    y3 = inv (m y + y1) and y4 = inv (m y1 + y), with inv = (m + 1)^-1.
+    Its four added squares lie in the columns m y1 = x, m y, m y3 and
+    m y4, which are distinct, so (x, y) is the flip's canonical id exactly
+    when x is the least of them.  Every flip in column x removes the
+    queen of row y1, so the column is left once that row is used.
+    """
+    n, m = params.n, params.m
+    inv = mod_inverse(m + 1, n)
+    a = inv * m % n
+    for x in range(n):
+        y1 = (n - m) * x % n
+        if used[y1]:
+            continue
+        b, c = inv * y1 % n, a * y1 % n  # y3 = a y + b, y4 = inv y + c
+        for y in range(used.find(0), n):
+            if used[y] or y == y1:
+                continue
+            y3 = (a * y + b) % n
+            y4 = (inv * y + c) % n
+            if used[y3] or used[y4] or m * y % n < x or m * y3 % n < x or m * y4 % n < x:
+                continue
+            yield _flip_from_pair(params, inv, y1, y)
+            if used[y1]:
+                break
 
 
 def flips_disjoint(f1: Flip, f2: Flip) -> bool:
@@ -205,13 +231,8 @@ def greedy_disjoint_flips(params: BaseParams, t: int, seed: int | None = None) -
     """Greedily pick t pairwise-disjoint flips.
 
     Without a seed: the first t flips, in canonical-id order, that are
-    disjoint from those kept before them.  Squares are scanned column by
-    column; every flip with a square in column x removes the base queen
-    of that column, so the column is skipped once that queen's row is
-    used.  Otherwise the companion rows are computed as integers, and a
-    flip is built only once all four of its rows are free: every flip
-    with a square in an earlier column already has a used row, so that
-    square is the flip's canonical id.
+    disjoint from those kept before them, taken from the square scan
+    that also serves ``enumerate_flips``.
 
     With a seed: a uniform unoccupied square is drawn and mapped to its
     flip, which is kept when it shares no row with those kept so far.
@@ -240,40 +261,12 @@ def greedy_disjoint_flips(params: BaseParams, t: int, seed: int | None = None) -
 def _first_disjoint(params: BaseParams, t: int) -> list[Flip]:
     """Up to t flips, each the first in canonical-id order disjoint from
     those before it."""
-    n, m = params.n, params.m
-    inv = mod_inverse(m + 1, n)
-    inv_m = mod_inverse(m, n)
+    used = bytearray(params.n)
     chosen: list[Flip] = []
-    used = bytearray(n)
-    low = 0  # every row below low is used
-    for x in range(n):
-        if len(chosen) == t:
-            break
-        y1 = inv_m * x % n
-        if used[y1]:
-            continue
-        # The flip of square (x, y) has rows y1, y, y3 = inv (m y + y1) and
-        # y4 = inv (m y1 + y).  A flip with an added square in an earlier
-        # column c already has a used row: column c's base queen row was
-        # used, or a flip was kept in column c, or this flip was refused
-        # there.  So the first square met whose flip has four free rows is
-        # that flip's canonical id.
-        for y in range(low, n):
-            if used[y] or y == y1:
-                continue
-            y3 = inv * (m * y + y1) % n
-            y4 = inv * (m * y1 + y) % n
-            if used[y3] or used[y4]:
-                continue
-            flip = _flip_from_pair(params, inv, y1, y)
-            if flip.canonical_id != (x, y):
-                raise InternalConsistencyError(f"square {(x, y)} is not its flip's canonical id")
-            chosen.append(flip)
-            for row in (y1, y, y3, y4):
-                used[row] = 1
-            while low < n and used[low]:
-                low += 1
-            break
+    for flip in islice(_free_flips(params, used), t):
+        chosen.append(flip)
+        for row in flip.rows:
+            used[row] = 1
     return chosen
 
 
@@ -281,7 +274,6 @@ def _sampled_disjoint(params: BaseParams, t: int, rng: random.Random) -> list[Fl
     """Up to t disjoint flips, each uniform over those still available."""
     n, m = params.n, params.m
     inv = mod_inverse(m + 1, n)
-    inv_m = mod_inverse(m, n)
     chosen: list[Flip] = []
     used: set[int] = set()
     misses = 0
@@ -290,7 +282,7 @@ def _sampled_disjoint(params: BaseParams, t: int, rng: random.Random) -> list[Fl
         x = rng.randrange(n - 1)
         if x >= m * y % n:
             x += 1  # skip the base queen's column
-        y1 = inv_m * x % n
+        y1 = (n - m) * x % n
         rows = {y1, y, inv * (m * y + y1) % n, inv * (m * y1 + y) % n}
         if used & rows:
             misses += 1

@@ -217,8 +217,9 @@ def build_flip_hg(k: int) -> Hypergraph:
     it is kept as a regularity and codegree test case.
     """
     params = capped_params(k)
-    flips = enumerate_flips(params, cap=DEFAULT_EDGE_CAP)
-    edges = tuple(tuple(sorted(f.rows)) for f in flips)
+    count = params.n * (params.n - 1) // 4
+    _check_edge_cap(count, f"flip enumeration at k = {params.k} ({count} flips)", DEFAULT_EDGE_CAP)
+    edges = tuple(tuple(sorted(f.rows)) for f in enumerate_flips(params))
     return Hypergraph(params.n, edges)
 
 

@@ -3,7 +3,7 @@
 Everything here is deliberately written against different data structures
 and search orders than the package code: pairwise attack scans instead of
 permutation residue sets, direct pair-cover search for triple systems,
-row-permutation enumeration for Sudoku grids.
+row-permutation enumeration for Sudoku grids, every row pair for flips.
 """
 
 from __future__ import annotations
@@ -11,7 +11,9 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, permutations
 
+from queens_lab.core import Square
 from queens_lab.errors import InvalidConfigError
+from queens_lab.flips import Flip
 
 
 def naive_classical_valid(p) -> bool:
@@ -96,6 +98,34 @@ def reference_attack_profiles(p) -> list[tuple[int, int, int]]:
             by[count] += 1
         profiles.append((by[3], by[2], by[1]))
     return profiles
+
+
+def reference_flips(params) -> list:
+    """Every flip, sorted by canonical id, from all n(n-1)/2 row pairs:
+    a pair (y1, y2) and its companion pair (y3, y4) give the same flip,
+    so the flips are merged through a dict keyed by canonical id."""
+    n, m = params.n, params.m
+    inv = pow(m + 1, -1, n)
+    col = [m * y % n for y in range(n)]
+    by_id = {}
+    for y1 in range(n):
+        for y2 in range(y1 + 1, n):
+            y3 = inv * (m * y2 + y1) % n
+            y4 = inv * (m * y1 + y2) % n
+            rows = (y1, y2, y3, y4)
+            removed = tuple(Square(col[y], y) for y in sorted(rows))
+            added = tuple(
+                sorted(
+                    (
+                        Square(col[y1], y2),
+                        Square(col[y2], y1),
+                        Square(col[y3], y4),
+                        Square(col[y4], y3),
+                    )
+                )
+            )
+            by_id.setdefault(added[0], Flip(removed=removed, added=added))
+    return [by_id[key] for key in sorted(by_id)]
 
 
 def reference_greedy_scan(all_flips, t: int) -> list:

@@ -27,7 +27,7 @@ from queens_lab.flips import (
     reconstruct_flips,
 )
 
-from helpers import reference_greedy_scan
+from helpers import reference_flips, reference_greedy_scan
 
 P1 = BaseParams.from_k(1)
 P2 = BaseParams.from_k(2)
@@ -70,6 +70,12 @@ def test_flip_for_square_occupied():
 @pytest.mark.parametrize("params,expected", [(P1, 5), (P2, 68), (P3, 1040)])
 def test_flip_count_formula(params, expected):
     assert len(enumerate_flips(params)) == expected
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_enumeration_matches_row_pair_reference(k):
+    params = BaseParams.from_k(k)
+    assert enumerate_flips(params) == reference_flips(params)
 
 
 @pytest.mark.parametrize("params", [P1, P2])
@@ -284,7 +290,7 @@ def test_enumerate_flips_inverts_m_plus_one_once(monkeypatch):
 
 @pytest.mark.parametrize("params", [P1, P2, P3])
 def test_unseeded_selection_matches_enumerate_then_scan(params):
-    all_flips = enumerate_flips(params)
+    all_flips = reference_flips(params)
     most = len(reference_greedy_scan(all_flips, len(all_flips)))
     for t in range(most + 2):
         expected = reference_greedy_scan(all_flips, t)
@@ -367,10 +373,20 @@ def test_seeded_fallback_goes_through_the_enumeration_cap(monkeypatch):
 @pytest.mark.parametrize("cap, code", [(68, 0), (67, 1)])
 def test_flips_cli_over_the_cap_is_size_limit_error(monkeypatch, capsys, cap, code):
     monkeypatch.setattr(flips, "FLIP_CAP", cap)
-    assert cli.main(["flips", "--k", "2", "--count"]) == code
+    assert cli.main(["flips", "--k", "2", "--list"]) == code
     out, err = capsys.readouterr()
     if code == 0:
         assert json.loads(out)["count"] == 68
     else:
         assert out == ""
         assert json.loads(err)["code"] == "size-limit"
+
+
+def test_flips_cli_count_at_k8_never_enumerates(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_flips called")
+
+    monkeypatch.setattr(flips, "enumerate_flips", refuse)
+    monkeypatch.setattr(cli, "enumerate_flips", refuse)
+    assert cli.main(["flips", "--k", "8", "--count"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"k": 8, "n": 65537, "count": 65537 * 16384}

@@ -14,14 +14,18 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from . import bounds, core, counting, hypergraph, verify
-from .construction import build_base_config, capped_params
 from .errors import QueensLabError
-from .flips import enumerate_flips, greedy_disjoint_flips, apply_flips
+
+if TYPE_CHECKING:
+    from . import core, hypergraph
 
 PROG = "queens-lab"
+# counting.MODES and verify.LEVELS, repeated here so that building the
+# parser imports neither module; a test pins them equal.
+MODES = ("classical", "toroidal")
+LEVELS = ("quick", "full")
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="exact solution counts")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=counting.MODES, required=True)
+    p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--oracle", action="store_true", help="use the permutation-filter oracle")
     p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--out", default=None)
@@ -116,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="run the invariant suite")
-    p.add_argument("--level", choices=verify.LEVELS, default="quick")
+    p.add_argument("--level", choices=LEVELS, default="quick")
     p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--out", default=None)
 
@@ -124,19 +128,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_construct(args, parser) -> Any:
+    from .construction import build_base_config
+
     return _config_payload(build_base_config(args.k))
 
 
 def _run_flips(args, parser) -> Any:
+    from .construction import capped_params
+
     params = capped_params(args.k)
     n = params.n
     payload = {"k": args.k, "n": n, "count": n * (n - 1) // 4}
     if args.list:
+        from .flips import enumerate_flips
+
         payload["flips"] = [_flip_payload(f) for f in enumerate_flips(params)]
     return payload
 
 
 def _run_generate(args, parser) -> Any:
+    from .construction import build_base_config, capped_params
+    from .flips import apply_flips, greedy_disjoint_flips
+
     params = capped_params(args.k)
     flip_set = greedy_disjoint_flips(params, args.t, seed=args.seed)
     config = apply_flips(build_base_config(args.k), flip_set)
@@ -149,6 +162,8 @@ def _run_generate(args, parser) -> Any:
 def _run_count(args, parser) -> Any:
     if args.n < 1:
         parser.error(f"--n must be >= 1, got {args.n}")
+    from . import counting
+
     if args.oracle:
         result = counting.oracle_count(args.n, args.mode)
     elif args.mode == "classical":
@@ -165,6 +180,8 @@ def _run_count(args, parser) -> Any:
 
 
 def _hg_from_args(args, parser) -> tuple[hypergraph.Hypergraph, str, dict]:
+    from . import hypergraph
+
     if args.infile is not None:
         return hypergraph.from_json(_read_input(args.infile)), "custom", {}
     if args.family is None:
@@ -189,6 +206,8 @@ def _hg_from_args(args, parser) -> tuple[hypergraph.Hypergraph, str, dict]:
 
 
 def _run_hg(args, parser) -> Any:
+    from . import hypergraph
+
     hg, family, raw = _hg_from_args(args, parser)
     if not (args.stats or args.count_pm or args.bound):
         return json.loads(hypergraph.to_json(hg))
@@ -216,7 +235,8 @@ def _run_hg(args, parser) -> Any:
             "k": report.k,
             "d": report.d,
         }
-        if args.count_pm and payload["perfect_matchings"] > 0 and report.log_bound != 0:
+        # The ratio of logs flips sign with log_bound, so it needs log_bound > 0.
+        if args.count_pm and payload["perfect_matchings"] > 0 and report.log_bound > 0:
             payload["log_count_over_log_bound"] = (
                 math.log(payload["perfect_matchings"]) / report.log_bound
             )
@@ -237,6 +257,8 @@ def _run_bounds(args, parser) -> Any:
             "bounds requires exactly one of --alpha, --torus-log, "
             "--classical-log, --dmatrix, --profile, --check-lemmas"
         )
+    from . import bounds
+
     if args.alpha:
         closed = bounds.classical_alpha("closed_form")
         quad = bounds.classical_alpha("quadrature")
@@ -252,6 +274,8 @@ def _run_bounds(args, parser) -> Any:
     if args.dmatrix is not None:
         return {"n": args.dmatrix, "matrix": bounds.diagonal_exposure_matrix(args.dmatrix)}
     if args.profile:
+        from . import core
+
         config = core.parse(_read_input(args.infile))
         profiles = bounds.attack_profiles(config)
         return {
@@ -268,6 +292,8 @@ def _run_bounds(args, parser) -> Any:
 
 
 def _run_verify(args, parser) -> Any:
+    from . import verify
+
     return verify.run_verification_suite(args.level, threads=args.threads)
 
 

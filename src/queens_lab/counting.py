@@ -26,7 +26,9 @@ again on the second row into (x0, x1) prefixes: one ordered task list
 serves the serial loop, the process pool that the optional ``threads``
 argument fans the ~n^2 / 2 tasks out to, and enumerate_solutions, which
 rebuilds the other first-row blocks from the searched ones.  Counts are
-weighted commutative sums and do not depend on the worker count.
+weighted commutative sums and do not depend on the worker count.  The
+pool class is imported on the first fan-out, so a single-worker process
+never loads concurrent.futures or multiprocessing.
 
 ``nodes_visited`` is the size of the full, unreduced row-by-row tree:
 every legal placement tried, the first row included.  It is computed
@@ -36,7 +38,6 @@ through the symmetry, as the weighted sum of the searched subtrees.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, islice, permutations, repeat
 from typing import Iterator
@@ -50,6 +51,9 @@ MODES = ("classical", "toroidal")
 
 DEFAULT_CAP = 16
 ORACLE_CAP = 10
+
+# concurrent.futures.ProcessPoolExecutor, imported on the first fan-out.
+ProcessPoolExecutor = None
 
 
 @dataclass(frozen=True)
@@ -193,6 +197,9 @@ def _count(n: int, mode: str, threads: int) -> CountResult:
     prefixes = [prefix for prefix, _ in tasks]
     workers = min(threads, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        global ProcessPoolExecutor
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_subtree, repeat(n), repeat(toroidal), prefixes))
     else:

@@ -372,11 +372,13 @@ def lower_bound_log_count(n: int) -> float:
     The i-th greedy pick has at least n(n-1)/4 - (i-1) * 4(n-1)
     candidates; all factors are positive for this t.  Their product counts
     ordered sequences, and each unordered set of t flips arises from t!
-    orders, so the product is divided by t!.  Returns 0.0 when n < 16
-    (no steps).
+    orders, so the product is divided by t!.  Only boards n = 4^k + 1
+    have flips: any other n >= 1 is refused with the InvalidConfigError
+    of ``BaseParams.from_board_size``.  Returns 0.0 at n = 5 (no steps).
     """
     if n < 1:
         raise FlipError(f"n must be >= 1, got {n}")
+    BaseParams.from_board_size(n)
     t = n // 16
     if t == 0:
         return 0.0

@@ -19,6 +19,10 @@ edge with one AND against a precomputed conflict row.  The branching
 choice reads only vertex ids and edge sets, so the node count does not
 depend on edge order.  When the gcd of the edge sizes does not divide
 the vertex count, no perfect matching exists and nothing is searched.
+
+With ``threads`` > 1 the root's subtrees go to a process pool whose class
+is imported on the first fan-out.  Only ``build_flip_hg`` imports the
+construction and flip modules, so the other builders load neither.
 """
 
 from __future__ import annotations
@@ -26,26 +30,26 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, repeat
 from math import gcd, log
 from typing import NamedTuple
 
-from .construction import capped_params
 from .errors import (
     InvalidHypergraphError,
     IrregularHypergraphError,
     SearchBudgetError,
     SizeLimitError,
 )
-from .flips import enumerate_flips
 
 DEFAULT_NODE_BUDGET = 50_000_000
 DEFAULT_EDGE_CAP = 1_000_000
 # Bits held by the perfect-matching search tables: edge masks over the
 # vertices, and incidence and conflict rows over the edges (128 MiB).
 DEFAULT_TABLE_BIT_CAP = 2**30
+
+# concurrent.futures.ProcessPoolExecutor, imported on the first fan-out.
+ProcessPoolExecutor = None
 
 
 def _check_edge_cap(size: int, what: str, edge_cap: int) -> None:
@@ -216,6 +220,9 @@ def build_flip_hg(k: int) -> Hypergraph:
     n = 4^k + 1 is never divisible by 4, so it has no perfect matching;
     it is kept as a regularity and codegree test case.
     """
+    from .construction import capped_params
+    from .flips import enumerate_flips
+
     params = capped_params(k)
     count = params.n * (params.n - 1) // 4
     _check_edge_cap(count, f"flip enumeration at k = {params.k} ({count} flips)", DEFAULT_EDGE_CAP)
@@ -413,6 +420,9 @@ def count_perfect_matchings(
         covers = [tables.masks[i] for i in edges]
         alives = [alive & ~tables.conflict[i] for i in edges]
         budget = max_nodes - len(edges)
+        global ProcessPoolExecutor
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_pm_subtree, repeat(tables), covers, alives, repeat(budget)))
         if len(edges) + sum(nodes for _, nodes in results) > max_nodes:

@@ -1,9 +1,10 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from queens_lab import cli, core
+from queens_lab import cli, core, counting, verify
 from queens_lab.core import ValidityReport
 
 
@@ -125,6 +126,12 @@ def test_hg_in_boolean_vertex_ids_are_refused(capsys, tmp_path):
     assert json.loads(err)["message"] == 'field "edges": must be an array of integer arrays'
 
 
+def test_parser_choices_match_their_modules():
+    # cli repeats these so that building the parser imports neither module.
+    assert cli.MODES == counting.MODES
+    assert cli.LEVELS == verify.LEVELS
+
+
 def test_unknown_subcommand():
     with pytest.raises(SystemExit) as info:
         cli.main(["frobnicate"])
@@ -167,7 +174,29 @@ def test_hg_stats_and_bound(capsys):
     assert payload["stats"]["k"] == 5
     assert payload["perfect_matchings"] == 10
     assert payload["bound"]["d"] == 4
-    assert "log_count_over_log_bound" in payload
+    # log_bound is negative here, so the ratio of logs is left out.
+    assert payload["bound"]["log_bound"] < 0
+    assert "log_count_over_log_bound" not in payload
+
+
+def test_hg_bound_ratio_above_log_bound_zero(capsys):
+    argv = ["hg", "--family", "transversal", "--params", '{"order":9}', "--count-pm", "--bound"]
+    payload = run_json(capsys, argv)
+    assert payload["perfect_matchings"] == 2025
+    assert payload["bound"]["log_bound"] > 0
+    assert payload["log_count_over_log_bound"] == math.log(2025) / payload["bound"]["log_bound"]
+
+
+def test_hg_bound_omits_ratio_below_log_bound_zero(capsys, tmp_path):
+    # Two disjoint 4-cycles: 2-regular on 8 vertices with 4 perfect
+    # matchings, where the bound's log is negative.
+    path = tmp_path / "cycles.json"
+    cycles = [[0, 1], [1, 2], [2, 3], [0, 3], [4, 5], [5, 6], [6, 7], [4, 7]]
+    path.write_text(json.dumps({"n": 8, "edges": cycles}))
+    payload = run_json(capsys, ["hg", "--in", str(path), "--count-pm", "--bound"])
+    assert payload["perfect_matchings"] == 4
+    assert payload["bound"]["log_bound"] < 0
+    assert "log_count_over_log_bound" not in payload
 
 
 def test_hg_emits_exchange_format(capsys, tmp_path):

@@ -11,6 +11,7 @@ from queens_lab.core import QueensConfig, Square, validate_toroidal
 from queens_lab.errors import (
     FlipError,
     GreedyExhaustionError,
+    InvalidConfigError,
     QueensLabError,
     ReconstructionError,
     SizeLimitError,
@@ -247,10 +248,16 @@ def test_lower_bound_log_values():
 
 
 def test_lower_bound_log_small_boards():
-    assert lower_bound_log_count(15) == 0.0
     assert lower_bound_log_count(5) == 0.0
     with pytest.raises(FlipError):
         lower_bound_log_count(0)
+
+
+@pytest.mark.parametrize("n", [1, 4, 6, 15, 16, 18, 21, 33, 48, 64, 66])
+def test_lower_bound_log_refuses_boards_without_flips(n):
+    # No base board exists off n = 4^k + 1, so there is nothing to count.
+    with pytest.raises(InvalidConfigError, match=f"board size {n} is not"):
+        lower_bound_log_count(n)
 
 
 @pytest.mark.parametrize("n", [17, 65, 257, 1025])
@@ -387,6 +394,5 @@ def test_flips_cli_count_at_k8_never_enumerates(monkeypatch, capsys):
         raise AssertionError("enumerate_flips called")
 
     monkeypatch.setattr(flips, "enumerate_flips", refuse)
-    monkeypatch.setattr(cli, "enumerate_flips", refuse)
     assert cli.main(["flips", "--k", "8", "--count"]) == 0
     assert json.loads(capsys.readouterr().out) == {"k": 8, "n": 65537, "count": 65537 * 16384}

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 from .core import QueensConfig, validate_classical
-from .counting import enumerate_solutions
 from .errors import InvalidConfigError, SizeLimitError
 from .quadrature import DEFAULT_TOL, QuadratureResult, integrate
 
@@ -132,6 +131,8 @@ def check_lemmas(n: int) -> dict:
     Capped at n <= LEMMA_CAP, since every solution is materialised."""
     if n > LEMMA_CAP:
         raise SizeLimitError(f"board size {n} exceeds lemma-check cap {LEMMA_CAP}")
+    from .counting import enumerate_solutions
+
     solutions = enumerate_solutions(n, "classical")
     floor = concentric_lower_bound(n)
     identity_ok = True

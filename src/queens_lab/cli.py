@@ -212,7 +212,7 @@ def _run_hg(args, parser) -> Any:
     if not (args.stats or args.count_pm or args.bound):
         return json.loads(hypergraph.to_json(hg))
     payload: dict[str, Any] = {"family": family, "params": raw}
-    hg_stats = hypergraph.stats(hg)
+    hg_stats = hypergraph.stats(hg) if args.stats or args.bound else None
     if args.stats:
         payload["stats"] = {
             "num_vertices": hg_stats.num_vertices,

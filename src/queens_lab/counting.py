@@ -15,20 +15,23 @@ as a checked QueensConfig (positionally, through the same
 mode's core validator (looked up per call); oracle_count is that pass
 for one mode.
 
-The search is reduced by symmetry.  Translation x -> x + c maps toroidal
-solutions onto toroidal solutions, and the mirror x -> n - 1 - x maps
-classical ones onto classical ones; either maps the search tree below one
-first-row column onto the tree below its image, node for node.  So the
-torus searches only the first-row column 0, weighted by n, and the
-classical board the columns x0 < ceil(n / 2), each weighted by 2 except
-the middle column of an odd board.  Each of those subtrees is split
-again on the second row into (x0, x1) prefixes: one ordered task list
+The search is reduced by symmetry.  The mirror x -> n - 1 - x maps
+classical solutions onto classical ones, and the maps x -> +-x + c map
+toroidal solutions onto toroidal ones; each maps the search tree below a
+prefix of rows onto the tree below its image, node for node.  So the
+search splits on the legal placements (x0, x1) of the first two rows and
+searches one per orbit under the board's column symmetries, its
+lexicographic least, weighted by the orbit's size.  The classical board
+searches x0 < (n - 1) / 2, and on an odd board the middle column with
+x1 < (n - 1) / 2, each weighted by 2; the torus searches (0, a) with
+a <= n / 2, weighted by 2n, or n for a = n / 2.  One ordered task list
 serves the serial loop, the process pool that the optional ``threads``
-argument fans the ~n^2 / 2 tasks out to, and enumerate_solutions, which
-rebuilds the other first-row blocks from the searched ones.  Counts are
-weighted commutative sums and do not depend on the worker count.  The
-pool class is imported on the first fan-out, so a single-worker process
-never loads concurrent.futures or multiprocessing.
+argument fans the tasks (~n^2 / 2 classical, ~n / 2 toroidal) out to,
+and enumerate_solutions, which rebuilds the other solutions as images of
+the searched ones.  Counts are weighted commutative sums and do not
+depend on the worker count.  The pool class is imported on the first
+fan-out, so a single-worker process never loads concurrent.futures or
+multiprocessing.
 
 ``nodes_visited`` is the size of the full, unreduced row-by-row tree:
 every legal placement tried, the first row included.  It is computed
@@ -101,23 +104,34 @@ def _attacks(n: int, toroidal: bool, prefix: tuple[int, ...]) -> tuple[int, int,
 
 
 def _tasks(n: int, toroidal: bool) -> list[tuple[tuple[int, ...], int]]:
-    """The searched prefixes of first-row and second-row columns, in
-    lexicographic order, each with the number of first-row columns whose
-    subtrees its own subtree stands for."""
-    if n == 1:
-        return [((0,), 1)]
-    if toroidal:
-        # Translation: column 0 stands for every first-row column.
-        firsts = [(0, n)]
-    else:
-        # Mirror: x0 stands for itself and n - 1 - x0.
-        firsts = [(x0, 1 if 2 * x0 == n - 1 else 2) for x0 in range((n + 1) // 2)]
+    """The searched legal placements of the first min(n, 2) rows, in
+    lexicographic order, each the least of its orbit under the board's
+    column symmetries and weighted by the orbit's size."""
     full = (1 << n) - 1
+    prefixes: list[tuple[int, ...]] = [()]
+    for _ in range(min(n, 2)):
+        grown = []
+        for prefix in prefixes:
+            cols, up, down = _attacks(n, toroidal, prefix)
+            free = full & ~(cols | up | down)
+            grown += [prefix + (x,) for x in range(n) if free >> x & 1]
+        prefixes = grown
+    # The column maps x -> (s * x + c) % n that carry solutions onto
+    # solutions: the identity and the mirror x -> n - 1 - x on the
+    # classical board, every translation with and without the reflection
+    # x -> -x on the torus.
+    if toroidal:
+        group = [(s, c) for s in (1, -1) for c in range(n)]
+    else:
+        group = [(1, 0), (-1, n - 1)]
+    seen: set[tuple[int, ...]] = set()
     tasks = []
-    for x0, weight in firsts:
-        cols, up, down = _attacks(n, toroidal, (x0,))
-        free = full & ~(cols | up | down)
-        tasks += [((x0, x1), weight) for x1 in range(n) if free >> x1 & 1]
+    # In lexicographic order the first prefix met of an orbit is its least.
+    for prefix in prefixes:
+        if prefix not in seen:
+            orbit = {tuple((s * x + c) % n for x in prefix) for s, c in group}
+            seen |= orbit
+            tasks.append((prefix, len(orbit)))
     return tasks
 
 
@@ -177,17 +191,25 @@ def _subtree(
 def _images(
     n: int, toroidal: bool, found: list[tuple[int, ...]]
 ) -> Iterator[tuple[int, ...]]:
-    """The solutions outside the searched first-row columns, in
-    lexicographic order, as images of the searched solutions ``found``."""
+    """The solutions outside the searched prefixes, in lexicographic
+    order, as images of the searched solutions ``found``."""
+    if n == 1:
+        # The one board is its own image.
+        return
     if toroidal:
+        # The reflection keeps p[0] = 0 and sends p[1] = a <= n / 2 to
+        # n - a > n / 2 (an even n, where a = n / 2 is its own image, has
+        # no toroidal solutions), so the p[0] = 0 block is ``found``
+        # followed by the reflected boards; translations give the rest.
+        reflected = sorted(tuple(-x % n for x in p) for p in found)
+        yield from reflected
         for c in range(1, n):
-            yield from sorted(tuple((x + c) % n for x in p) for p in found)
+            shifted = (tuple((x + c) % n for x in p) for p in chain(found, reflected))
+            yield from sorted(shifted)
     else:
-        # The mirror reverses lexicographic order; the middle column of an
-        # odd board is its own image.
+        # The mirror reverses lexicographic order.
         for p in reversed(found):
-            if 2 * p[0] != n - 1:
-                yield tuple(n - 1 - x for x in p)
+            yield tuple(n - 1 - x for x in p)
 
 
 def _count(n: int, mode: str, threads: int) -> CountResult:
@@ -205,8 +227,8 @@ def _count(n: int, mode: str, threads: int) -> CountResult:
     else:
         results = [_subtree(n, toroidal, prefix) for prefix in prefixes]
     count = sum(w * c for (_, w), (c, _) in zip(tasks, results))
-    # Every first-row placement is itself a visited node, and the weights
-    # of the searched first-row columns sum to n.
+    # Every first-row placement is itself a visited node; the weights sum
+    # to the number of legal prefixes, each standing for its own subtree.
     nodes = n + sum(w * m for (_, w), (_, m) in zip(tasks, results))
     return CountResult(n, mode, count, nodes)
 

@@ -245,10 +245,16 @@ def greedy_disjoint_flips(params: BaseParams, t: int, seed: int | None = None) -
 
     Each flip rules out at most 4(n-1) others, so t = floor(n/16) always
     succeeds; larger t may exhaust the pass and raises with the count
-    achieved.
+    achieved.  Disjoint flips remove 4t distinct queens of the n, so
+    t > floor(n/4) is refused with FlipError before any square is drawn.
     """
     if t < 0:
         raise FlipError(f"t must be >= 0, got {t}")
+    if 4 * t > params.n:
+        raise FlipError(
+            f"t = {t} disjoint flips would remove {4 * t} queens, "
+            f"more than the {params.n} of the board"
+        )
     if seed is None:
         chosen = _first_disjoint(params, t)
     else:
@@ -374,11 +380,13 @@ def lower_bound_log_count(n: int) -> float:
     ordered sequences, and each unordered set of t flips arises from t!
     orders, so the product is divided by t!.  Only boards n = 4^k + 1
     have flips: any other n >= 1 is refused with the InvalidConfigError
-    of ``BaseParams.from_board_size``.  Returns 0.0 at n = 5 (no steps).
+    of ``BaseParams.from_board_size``, and a board above the cap of
+    ``capped_params`` with its SizeLimitError.  Returns 0.0 at n = 5 (no
+    steps).
     """
     if n < 1:
         raise FlipError(f"n must be >= 1, got {n}")
-    BaseParams.from_board_size(n)
+    capped_params(BaseParams.from_board_size(n).k)
     t = n // 16
     if t == 0:
         return 0.0

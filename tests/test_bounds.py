@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from queens_lab import bounds
+from queens_lab import bounds, counting
 from queens_lab.bounds import (
     attack_profiles,
     classical_alpha,
@@ -215,9 +215,10 @@ def test_check_lemmas_is_capped_before_it_searches(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("check_lemmas searched past its cap")
 
-    monkeypatch.setattr(bounds, "enumerate_solutions", no_search)
+    # check_lemmas imports enumerate_solutions from counting when it runs.
+    monkeypatch.setattr(counting, "enumerate_solutions", no_search)
     for n in (bounds.LEMMA_CAP + 1, 16, 10**9):
         with pytest.raises(SizeLimitError, match="lemma-check cap"):
             bounds.check_lemmas(n)
-    monkeypatch.setattr(bounds, "enumerate_solutions", lambda n, mode: [])
+    monkeypatch.setattr(counting, "enumerate_solutions", lambda n, mode: [])
     assert bounds.check_lemmas(bounds.LEMMA_CAP)["passed"] is True

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from queens_lab import cli, core, counting, verify
+from queens_lab import cli, core, counting, hypergraph, verify
 from queens_lab.core import ValidityReport
 
 
@@ -160,9 +160,26 @@ def test_generate_valid_and_deterministic(capsys):
 
 
 def test_generate_exhaustion_is_domain_error(capsys):
-    code, _, err = run(capsys, ["generate", "--k", "1", "--t", "2"])
+    # k = 3: the unseeded scan reaches 14 flips; n // 4 = 16.
+    code, _, err = run(capsys, ["generate", "--k", "3", "--t", "15"])
     assert code == 1
     assert json.loads(err)["code"] == "greedy-exhausted"
+    code, _, err = run(capsys, ["generate", "--k", "3", "--t", "17"])
+    assert code == 1
+    assert json.loads(err)["code"] == "flip-error"
+
+
+def test_hg_count_pm_alone_computes_no_stats(capsys, monkeypatch):
+    def refuse(hg):
+        raise AssertionError("stats computed but never printed")
+
+    monkeypatch.setattr(hypergraph, "stats", refuse)
+    argv = ["hg", "--family", "torus", "--params", '{"n":5}', "--count-pm"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == json.dumps(
+        {"family": "torus", "params": {"n": 5}, "perfect_matchings": 10}, indent=2
+    ) + "\n"
 
 
 def test_hg_stats_and_bound(capsys):

@@ -161,16 +161,27 @@ def test_enumerate_limit_zero():
         enumerate_solutions(5, "toroidal", limit=-1)
 
 
-# Search-tree sizes of the row-by-row DFS, n = 1..10: every legal
+# Search-tree sizes of the row-by-row DFS, n = 1..13: every legal
 # placement tried, the first row included.
-CLASSICAL_NODES = [1, 2, 5, 16, 53, 152, 551, 2056, 8393, 35538]
-TOROIDAL_NODES = [1, 2, 3, 8, 45, 72, 259, 800, 2349, 9240]
+CLASSICAL_NODES = [
+    1, 2, 5, 16, 53, 152, 551, 2056, 8393, 35538, 166925, 856188, 4674889
+]
+TOROIDAL_NODES = [1, 2, 3, 8, 45, 72, 259, 800, 2349, 9240, 27291, 139248, 469651]
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, 14))
 def test_nodes_visited_pinned(n):
     assert count_classical(n).nodes_visited == CLASSICAL_NODES[n - 1]
     assert count_toroidal(n).nodes_visited == TOROIDAL_NODES[n - 1]
+
+
+@pytest.mark.parametrize(
+    "count, expected, nodes",
+    [(count_classical, 73712, CLASSICAL_NODES), (count_toroidal, 4524, TOROIDAL_NODES)],
+)
+def test_two_workers_give_the_pinned_count_and_nodes_at_13(count, expected, nodes):
+    result = count(13, threads=2)
+    assert (result.count, result.nodes_visited) == (expected, nodes[12])
 
 
 @pytest.mark.parametrize("mode", ["classical", "toroidal"])
@@ -194,8 +205,30 @@ def _second_rows(n, toroidal, x0):
     return [x1 for x1 in range(n) if abs(x1 - x0) > 1]
 
 
+@pytest.mark.parametrize("n", range(2, 14))
+def test_one_task_per_orbit_weighted_by_its_size(n):
+    classical = [
+        ((x0, x1), 2)
+        for x0 in range(n)
+        for x1 in _second_rows(n, False, x0)
+        if (x0, x1) < (n - 1 - x0, n - 1 - x1)
+    ]
+    toroidal = [
+        ((0, a), n if 2 * a == n else 2 * n) for a in _second_rows(n, True, 0) if 2 * a <= n
+    ]
+    assert counting._tasks(n, False) == classical
+    assert counting._tasks(n, True) == toroidal
+    for tasks, toroidal_board in ((classical, False), (toroidal, True)):
+        legal = sum(len(_second_rows(n, toroidal_board, x0)) for x0 in range(n))
+        assert sum(w for _, w in tasks) == legal
+
+
+def test_one_row_board_is_its_own_task():
+    assert counting._tasks(1, False) == counting._tasks(1, True) == [((0,), 1)]
+
+
 @pytest.mark.parametrize("mode", ["classical", "toroidal"])
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(1, 14))
 def test_symmetric_subtrees_match_the_unreduced_search(n, mode):
     toroidal = mode == "toroidal"
     # The unreduced reference: every first-row column searched.
@@ -214,6 +247,7 @@ def test_symmetric_subtrees_match_the_unreduced_search(n, mode):
         if toroidal:
             for c in range(n):
                 assert per_prefix[(x0 + c) % n, (x1 + c) % n] == found
+                assert per_prefix[(c - x0) % n, (c - x1) % n] == found
         else:
             assert per_prefix[n - 1 - x0, n - 1 - x1] == found
     if n > 1:
@@ -229,12 +263,15 @@ def test_two_workers_give_the_serial_count_and_nodes(count, n):
     assert (pooled.count, pooled.nodes_visited) == (serial.count, serial.nodes_visited)
 
 
-# Limits just inside and past the last searched first-row block: classical
-# n = 8 searches p[0] < 4 (46 solutions), toroidal n = 7 only p[0] = 0
-# (4 solutions); the rest are mirrored or translated.
+# Limits just inside and past the edges of the searched and image blocks:
+# classical n = 8 searches p[0] < 4 (46 solutions), the rest are mirrored;
+# toroidal n = 7 searches p[:2] = (0, 2) and (0, 3) (2 solutions), then the
+# reflected boards complete the p[0] = 0 block (4 solutions) and
+# translations give the rest.
 @pytest.mark.parametrize(
     "n, mode, limit",
     [(8, "classical", 46), (8, "classical", 47), (8, "classical", 50),
+     (7, "toroidal", 1), (7, "toroidal", 2), (7, "toroidal", 3),
      (7, "toroidal", 4), (7, "toroidal", 5), (7, "toroidal", 9)],
 )
 def test_enumerate_limit_across_symmetry_blocks(n, mode, limit):
@@ -246,8 +283,9 @@ def test_enumerate_limit_across_symmetry_blocks(n, mode, limit):
 def test_enumerate_limit_around_the_odd_middle_column():
     full = [config.p for config in enumerate_solutions(9, "classical")]
     assert len(set(full)) == 352 and full == sorted(full)
-    for x0 in (4, 5):
-        start = sum(1 for p in full if p[0] < x0)
+    # The middle column searches p[1] < 4; its mirrored boards follow.
+    for edge in [(4,), (4, 5), (5,)]:
+        start = sum(1 for p in full if p[: len(edge)] < edge)
         for limit in (start - 1, start, start + 1):
             prefix = enumerate_solutions(9, "classical", limit)
             assert [config.p for config in prefix] == full[:limit]

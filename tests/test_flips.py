@@ -150,10 +150,29 @@ def test_greedy_seeded_reproducible():
 
 
 def test_greedy_exhaustion():
+    # The unseeded scan reaches 14 of the n // 4 = 16 flips of k = 3.
     with pytest.raises(GreedyExhaustionError) as info:
-        greedy_disjoint_flips(P1, 2)
-    assert info.value.achieved == 1
-    assert info.value.requested == 2
+        greedy_disjoint_flips(P3, 15)
+    assert info.value.achieved == 14
+    assert info.value.requested == 15
+
+
+@pytest.mark.parametrize("seed", [None, 0])
+def test_more_flips_than_a_quarter_of_the_queens_are_refused_at_once(monkeypatch, seed):
+    # Disjoint flips remove 4t distinct queens of the n, so t <= n // 4.
+    assert len(greedy_disjoint_flips(P1, P1.n // 4, seed=seed)) == 1
+    with pytest.raises(GreedyExhaustionError):
+        greedy_disjoint_flips(P3, P3.n // 4, seed=seed)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a square was scanned")
+
+    monkeypatch.setattr(flips, "_free_flips", refuse)
+    monkeypatch.setattr(flips, "_flip_from_pair", refuse)
+    for params in (P1, P3, BaseParams.from_k(8)):
+        with pytest.raises(FlipError, match="more than the") as info:
+            greedy_disjoint_flips(params, params.n // 4 + 1, seed=seed)
+        assert type(info.value) is FlipError
 
 
 def test_flipset_rejects_overlap():
@@ -266,6 +285,19 @@ def test_lower_bound_log_finite_positive(n):
     assert math.isfinite(value) and value > 0
 
 
+def test_lower_bound_log_is_capped_like_the_boards():
+    assert lower_bound_log_count(4**8 + 1) > 0
+    with pytest.raises(SizeLimitError, match="k = 9 exceeds cap 8"):
+        lower_bound_log_count(4**9 + 1)
+
+
+def test_lower_bound_log_honours_the_env_cap(monkeypatch):
+    monkeypatch.setenv("QUEENS_LAB_CAP", "65")
+    assert lower_bound_log_count(65) > 0
+    with pytest.raises(SizeLimitError):
+        lower_bound_log_count(257)
+
+
 def test_canonical_ids_sorted_in_flipset():
     rng = random.Random(3)
     flips = enumerate_flips(P3)
@@ -303,10 +335,13 @@ def test_unseeded_selection_matches_enumerate_then_scan(params):
         expected = reference_greedy_scan(all_flips, t)
         if t <= most:
             assert greedy_disjoint_flips(params, t).flips == tuple(expected)
-        else:
+        elif t <= params.n // 4:
             with pytest.raises(GreedyExhaustionError) as info:
                 greedy_disjoint_flips(params, t)
             assert (info.value.requested, info.value.achieved) == (t, most)
+        else:
+            with pytest.raises(FlipError, match="more than the"):
+                greedy_disjoint_flips(params, t)
 
 
 @pytest.mark.parametrize("t", [1, 2, 4, 8])
@@ -333,8 +368,8 @@ def test_seeded_single_pick_is_uniform():
 
 def test_seeded_exhaustion_reports_greedy_count():
     with pytest.raises(GreedyExhaustionError) as info:
-        greedy_disjoint_flips(P1, 2, seed=0)
-    assert (info.value.requested, info.value.achieved) == (2, 1)
+        greedy_disjoint_flips(P2, 4, seed=0)
+    assert (info.value.requested, info.value.achieved) == (4, 3)
 
 
 def test_seeded_selection_at_k8_never_enumerates(monkeypatch):
@@ -373,8 +408,9 @@ def test_seeded_fallback_goes_through_the_enumeration_cap(monkeypatch):
     monkeypatch.setattr(flips, "FLIP_CAP", 67)
     assert len(greedy_disjoint_flips(P2, 2, seed=0)) == 2
     assert len(greedy_disjoint_flips(P2, 4)) == 4  # the unseeded scan never enumerates
+    # Seed 0 samples 3 of the n // 4 = 4 flips, then falls back.
     with pytest.raises(SizeLimitError):
-        greedy_disjoint_flips(P2, 17, seed=0)
+        greedy_disjoint_flips(P2, 4, seed=0)
 
 
 @pytest.mark.parametrize("cap, code", [(68, 0), (67, 1)])

@@ -52,6 +52,19 @@ def test_single_thread_verify_starts_no_pool_module():
     assert not [m for m in loaded if m.startswith(POOL_MODULES)]
 
 
+def test_bounds_alpha_loads_no_search_module():
+    loaded = fresh(
+        "import contextlib, io\n"
+        "from queens_lab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['bounds', '--alpha']) == 0\n"
+        + LOADED
+    )
+    assert "queens_lab.bounds" in loaded
+    assert "queens_lab.counting" not in loaded
+    assert "queens_lab.construction" not in loaded
+
+
 def test_lazy_package_names_are_their_home_objects():
     result = fresh(
         """

@@ -23,15 +23,8 @@ import math
 from dataclasses import dataclass
 
 from .core import QueensConfig, validate_classical
-from .errors import InvalidConfigError, SizeLimitError
+from .errors import InvalidConfigError, check_cap
 from .quadrature import DEFAULT_TOL, QuadratureResult, integrate
-
-# check_lemmas holds every classical solution in memory: 14 200 at n = 12
-# (seconds), 14.8 million at the counting cap of 16 (gigabytes).
-LEMMA_CAP = 12
-# diagonal_exposure_matrix builds every entry: 262 144 at this size, which
-# `bounds --dmatrix` renders in under a second and ~50 MiB of peak RSS.
-DMATRIX_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -58,11 +51,10 @@ def diagonal_exposure(n: int, i: int, j: int) -> int:
 
 def diagonal_exposure_matrix(n: int) -> list[list[int]]:
     """diagonal_exposure at every square, row i and column j.  Refuses
-    n < 1 and n > DMATRIX_CAP before building anything."""
+    n < 1 and n above the "dmatrix" cap before building anything."""
     if n < 1:
         raise InvalidConfigError(f"board size must be >= 1, got {n}")
-    if n > DMATRIX_CAP:
-        raise SizeLimitError(f"board size {n} exceeds exposure-matrix cap {DMATRIX_CAP}")
+    check_cap("dmatrix", n, f"board size {n}")
     return [[diagonal_exposure(n, i, j) for j in range(n)] for i in range(n)]
 
 
@@ -128,9 +120,8 @@ def check_lemmas(n: int) -> dict:
     """Check the three row-profile lemmas on every classical n-queens
     solution: profile counts sum to n - 1, the diagonal-pair identity,
     and the concentric-ring inequality.  Returns a JSON-able report.
-    Capped at n <= LEMMA_CAP, since every solution is materialised."""
-    if n > LEMMA_CAP:
-        raise SizeLimitError(f"board size {n} exceeds lemma-check cap {LEMMA_CAP}")
+    Capped by the "lemma" cap, since every solution is materialised."""
+    check_cap("lemma", n, f"board size {n}")
     from .counting import enumerate_solutions
 
     solutions = enumerate_solutions(n, "classical")

@@ -179,6 +179,13 @@ def _run_count(args, parser) -> Any:
     }
 
 
+def _holds_bool(value: Any) -> bool:
+    """True when a parsed JSON value is or holds true or false."""
+    if isinstance(value, dict):
+        return _holds_bool(list(value.values()))
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
+
+
 def _hg_from_args(args, parser) -> tuple[hypergraph.Hypergraph, str, dict]:
     from . import hypergraph
 
@@ -191,6 +198,8 @@ def _hg_from_args(args, parser) -> tuple[hypergraph.Hypergraph, str, dict]:
     except json.JSONDecodeError as exc:
         parser.error(f"--params is not valid JSON: {exc}")
     try:
+        if _holds_bool(raw):  # JSON true and false would pass as the ints 1 and 0
+            raise TypeError("true or false given")
         if args.family == "torus":
             return hypergraph.build_torus_queens_hg(raw["n"]), "torus", raw
         if args.family == "transversal":

@@ -9,30 +9,10 @@ n = 65).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .core import QueensConfig
-from .errors import InvalidConfigError, NotInvertibleError, SizeLimitError
-
-# n = 4^8 + 1 = 65537 keeps n^2 comfortably within native indexing.
-DEFAULT_MAX_K = 8
-
-_ENV_CAP = "QUEENS_LAB_CAP"
-
-
-def board_size_cap(default: int) -> int:
-    """Resolve a size cap, honouring the QUEENS_LAB_CAP override."""
-    raw = os.environ.get(_ENV_CAP)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise SizeLimitError(f"{_ENV_CAP} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise SizeLimitError(f"{_ENV_CAP} must be >= 1, got {value}")
-    return value
+from .errors import InvalidConfigError, NotInvertibleError, SizeLimitError, cap
 
 
 @dataclass(frozen=True)
@@ -93,16 +73,16 @@ def check_units(params: BaseParams) -> bool:
 
 
 def capped_params(k: int) -> BaseParams:
-    """BaseParams for k, refused when its board n = 4^k + 1 exceeds
-    ``board_size_cap``.  k is checked before 4^k is computed, so an
-    absurd k costs nothing.
+    """BaseParams for k, refused when its board n = 4^k + 1 exceeds the
+    "board" cap.  k is checked before 4^k is computed, so an absurd k
+    costs nothing.
     """
-    cap = board_size_cap(4**DEFAULT_MAX_K + 1)
-    # 4^k + 1 <= cap  <=>  2k <= floor(log2(cap - 1))
-    max_k = (max(cap - 1, 1).bit_length() - 1) // 2
+    limit = cap("board")
+    # 4^k + 1 <= limit  <=>  2k <= floor(log2(limit - 1))
+    max_k = (max(limit - 1, 1).bit_length() - 1) // 2
     if k > max_k:
         raise SizeLimitError(
-            f"k = {k} exceeds cap {max_k} (board size 4^k + 1 must be <= {cap})"
+            f"k = {k} exceeds cap {max_k} (board size 4^k + 1 must be <= {limit})"
         )
     return BaseParams.from_k(k)
 

@@ -46,14 +46,10 @@ from itertools import chain, islice, permutations, repeat
 from typing import Iterator
 
 from . import core
-from .construction import board_size_cap
 from .core import QueensConfig
-from .errors import InvalidConfigError, SizeLimitError
+from .errors import InvalidConfigError, SizeLimitError, check_cap
 
 MODES = ("classical", "toroidal")
-
-DEFAULT_CAP = 16
-ORACLE_CAP = 10
 
 # concurrent.futures.ProcessPoolExecutor, imported on the first fan-out.
 ProcessPoolExecutor = None
@@ -72,11 +68,10 @@ def _check_mode(mode: str) -> None:
         raise InvalidConfigError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def _check_size(n: int, cap: int) -> None:
+def _check_size(n: int, entry: str) -> None:
     if n < 1:
         raise SizeLimitError(f"board size must be >= 1, got {n}")
-    if n > cap:
-        raise SizeLimitError(f"board size {n} exceeds cap {cap}")
+    check_cap(entry, n, f"board size {n}")
 
 
 class _LimitReached(Exception):
@@ -213,7 +208,7 @@ def _images(
 
 
 def _count(n: int, mode: str, threads: int) -> CountResult:
-    _check_size(n, board_size_cap(DEFAULT_CAP))
+    _check_size(n, "count")
     toroidal = mode == "toroidal"
     tasks = _tasks(n, toroidal)
     prefixes = [prefix for prefix, _ in tasks]
@@ -247,10 +242,10 @@ def oracle_counts(n: int, modes: tuple[str, ...]) -> tuple[CountResult, ...]:
     """Independent slow counts, one per mode: filter all n! permutations
     through the core validators in one pass, each permutation built once
     as a checked QueensConfig and handed to every mode's validator.
-    Capped at n <= 10."""
+    Capped at the "oracle" entry of ``CAPS``."""
     for mode in modes:
         _check_mode(mode)
-    _check_size(n, ORACLE_CAP)
+    _check_size(n, "oracle")
     # Looked up per call, so a replaced core validator is the one used.
     validators = [(i, getattr(core, f"validate_{mode}")) for i, mode in enumerate(modes)]
     counts = [0] * len(modes)
@@ -272,7 +267,7 @@ def enumerate_solutions(
 ) -> list[QueensConfig]:
     """All solutions in lexicographic order of p, optionally truncated."""
     _check_mode(mode)
-    _check_size(n, board_size_cap(DEFAULT_CAP))
+    _check_size(n, "count")
     if limit is not None and limit < 0:
         raise InvalidConfigError(f"limit must be >= 0, got {limit}")
     if limit == 0:

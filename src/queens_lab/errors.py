@@ -4,10 +4,12 @@ Every domain failure raises a subclass of QueensLabError so the CLI can
 map library errors to exit code 1 and keep usage errors (exit code 2)
 separate.  Errors that carry extra constructor arguments define
 ``__reduce__`` so they survive pickling, and with it a trip back from a
-process-pool worker.
+process-pool worker.  ``CAPS`` is the one table of size limits.
 """
 
 from __future__ import annotations
+
+import os
 
 
 class QueensLabError(Exception):
@@ -26,6 +28,44 @@ class SizeLimitError(QueensLabError):
     """A requested instance exceeds the configured size cap."""
 
     code = "size-limit"
+
+
+# Every size limit, by resource, each checked before the work it bounds
+# is allocated or started.  QUEENS_LAB_CAP replaces "count" and "board".
+CAPS = {
+    "count": 16,  # board size of the exact counters and enumerate_solutions
+    "oracle": 10,  # board size of the permutation oracle, which builds n! boards
+    "lemma": 12,  # check_lemmas holds every classical solution: 14 200 at 12
+    "dmatrix": 512,  # side of the exposure matrix: 262 144 entries, ~50 MiB
+    "board": 4**8 + 1,  # board size 4^k + 1 of the construction and its flips
+    "edges": 10**6,  # hypergraph edges or vertices, and flips enumerated at once
+    "table_bits": 2**30,  # perfect-matching search tables, 128 MiB
+    "nodes": 5 * 10**7,  # default node budget of count_perfect_matchings
+}
+_ENV_CAP = "QUEENS_LAB_CAP"
+# How a SizeLimitError names a cap, where not as plain "cap".
+_CAP_NAMES = {"lemma": "lemma-check cap", "dmatrix": "exposure-matrix cap", "edges": "the edge cap"}
+
+
+def cap(name: str) -> int:
+    """Entry ``name`` of CAPS, or QUEENS_LAB_CAP for "count" and "board"."""
+    raw = os.environ.get(_ENV_CAP) if name in ("count", "board") else None
+    if raw is None:
+        return CAPS[name]
+    try:
+        value = int(raw)
+    except ValueError as exc:
+        raise SizeLimitError(f"{_ENV_CAP} must be an integer, got {raw!r}") from exc
+    if value < 1:
+        raise SizeLimitError(f"{_ENV_CAP} must be >= 1, got {value}")
+    return value
+
+
+def check_cap(name: str, size: int, what: str) -> None:
+    """Refuse ``size`` above the cap ``name`` with SizeLimitError."""
+    limit = cap(name)
+    if size > limit:
+        raise SizeLimitError(f"{what} exceeds {_CAP_NAMES.get(name, 'cap')} {limit}")
 
 
 class NotInvertibleError(QueensLabError):

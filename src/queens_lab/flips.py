@@ -18,7 +18,7 @@ As m^2 = n - 1, m^-1 = n - m (mod n): column x's base queen is in row (n - m) x.
 
 One scan of the unoccupied squares, column by column, meets the flips in
 canonical-id order.  ``enumerate_flips`` lists everything it yields, and
-refuses more than ``FLIP_CAP`` flips before it starts; unseeded selection
+refuses more flips than the "edges" cap before it starts; unseeded selection
 marks the rows of each flip it keeps, so the scan yields only flips
 disjoint from those.  Seeded selection draws uniform unoccupied squares:
 every flip owns exactly four of them, so each accepted draw is uniform
@@ -40,12 +40,8 @@ from .errors import (
     GreedyExhaustionError,
     InternalConsistencyError,
     ReconstructionError,
-    SizeLimitError,
+    check_cap,
 )
-
-# enumerate_flips builds at most this many flips (k <= 5 fits; k = 6 has
-# 4.2 million), the same bound the flip hypergraph applies to its edges.
-FLIP_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -175,15 +171,12 @@ def flip_for_square(params: BaseParams, square: Square) -> Flip:
 def enumerate_flips(params: BaseParams) -> list[Flip]:
     """All n(n-1)/4 flips of the base configuration, sorted by canonical id.
 
-    More than ``FLIP_CAP`` flips raise SizeLimitError before any square
-    is visited.
+    More flips than the "edges" cap raise SizeLimitError before any
+    square is visited.
     """
     n = params.n
     count = n * (n - 1) // 4
-    if count > FLIP_CAP:
-        raise SizeLimitError(
-            f"flip enumeration at k = {params.k} ({count} flips) exceeds the edge cap {FLIP_CAP}"
-        )
+    check_cap("edges", count, f"flip enumeration at k = {params.k} ({count} flips)")
     flips = list(_free_flips(params, bytearray(n)))
     if len(flips) != count:
         raise InternalConsistencyError(f"expected {count} flips, found {len(flips)}")

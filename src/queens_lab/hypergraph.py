@@ -40,37 +40,26 @@ from .errors import (
     IrregularHypergraphError,
     SearchBudgetError,
     SizeLimitError,
+    cap,
+    check_cap,
 )
-
-DEFAULT_NODE_BUDGET = 50_000_000
-DEFAULT_EDGE_CAP = 1_000_000
-# Bits held by the perfect-matching search tables: edge masks over the
-# vertices, and incidence and conflict rows over the edges (128 MiB).
-DEFAULT_TABLE_BIT_CAP = 2**30
 
 # concurrent.futures.ProcessPoolExecutor, imported on the first fan-out.
 ProcessPoolExecutor = None
 
 
-def _check_edge_cap(size: int, what: str, edge_cap: int) -> None:
-    """Refuse an instance of ``size`` edges (or vertices) above
-    ``edge_cap`` before anything of that size is allocated."""
-    if size > edge_cap:
-        raise SizeLimitError(f"{what} exceeds the edge cap {edge_cap}")
+def _capped_comb(n: int, r: int, limit: int) -> int:
+    """comb(n, r) when it is at most ``limit``, else some value above it.
 
-
-def _capped_comb(n: int, r: int, cap: int) -> int:
-    """comb(n, r) when it is at most ``cap``, else some value above ``cap``.
-
-    The running product comb(n - r + i, i), i = 1 .. min(r, n - r), is
-    multiplied by (n - r + i) / i >= 2 at each step, so it passes ``cap``
-    within about log2(cap) steps instead of computing a huge binomial.
+    The running product comb(n - r + i, i), i = 1 .. min(r, n - r), grows
+    by (n - r + i) / i >= 2 a step, so it passes ``limit`` within about
+    log2(limit) steps instead of computing a huge binomial.
     """
     r = min(r, n - r)
     c = 1
     for i in range(1, r + 1):
         c = c * (n - r + i) // i
-        if c > cap:
+        if c > limit:
             break
     return c
 
@@ -132,7 +121,7 @@ def build_torus_queens_hg(n: int) -> Hypergraph:
     """
     if n < 1:
         raise InvalidHypergraphError(f"board size must be >= 1, got {n}")
-    _check_edge_cap(n * n, f"torus board of size {n}", DEFAULT_EDGE_CAP)
+    check_cap("edges", n * n, f"torus board of size {n}")
     edges = []
     for x in range(n):
         for y in range(n):
@@ -159,7 +148,7 @@ def validate_latin_square(latin: list[list[int]]) -> int:
 
 
 def cyclic_latin_square(n: int) -> list[list[int]]:
-    _check_edge_cap(max(n, 0) ** 2, f"cyclic Latin square of order {n}", DEFAULT_EDGE_CAP)
+    check_cap("edges", max(n, 0) ** 2, f"cyclic Latin square of order {n}")
     return [[(i + j) % n for j in range(n)] for i in range(n)]
 
 
@@ -184,7 +173,7 @@ def build_sudoku_hg(b: int) -> Hypergraph:
     """
     if b < 2:
         raise InvalidHypergraphError(f"box size must be >= 2, got {b}")
-    _check_edge_cap(b**6, f"Sudoku of box size {b}", DEFAULT_EDGE_CAP)
+    check_cap("edges", b**6, f"Sudoku of box size {b}")
     n = b * b
     nn = n * n
     edges = []
@@ -196,14 +185,14 @@ def build_sudoku_hg(b: int) -> Hypergraph:
     return Hypergraph(4 * nn, tuple(edges))
 
 
-def build_steiner_aux_hg(n: int, q: int, r: int, edge_cap: int = DEFAULT_EDGE_CAP) -> Hypergraph:
+def build_steiner_aux_hg(n: int, q: int, r: int) -> Hypergraph:
     """Auxiliary hypergraph whose perfect matchings are the
     (n, q, r)-Steiner systems: r-subsets as vertices, one edge per
     q-subset bundling all its r-subsets."""
     if not 0 < r < q < n:
         raise InvalidHypergraphError(f"need 0 < r < q < n, got ({n}, {q}, {r})")
-    _check_edge_cap(_capped_comb(n, r, edge_cap), f"({n},{q},{r})", edge_cap)
-    _check_edge_cap(_capped_comb(n, q, edge_cap), f"({n},{q},{r})", edge_cap)
+    for size in (r, q):
+        check_cap("edges", _capped_comb(n, size, cap("edges")), f"({n},{q},{r})")
     r_sets = list(combinations(range(n), r))
     index = {s: i for i, s in enumerate(r_sets)}
     edges = []
@@ -224,8 +213,6 @@ def build_flip_hg(k: int) -> Hypergraph:
     from .flips import enumerate_flips
 
     params = capped_params(k)
-    count = params.n * (params.n - 1) // 4
-    _check_edge_cap(count, f"flip enumeration at k = {params.k} ({count} flips)", DEFAULT_EDGE_CAP)
     edges = tuple(tuple(sorted(f.rows)) for f in enumerate_flips(params))
     return Hypergraph(params.n, edges)
 
@@ -382,7 +369,7 @@ def _pm_subtree(
 
 
 def count_perfect_matchings(
-    hg: Hypergraph, max_nodes: int = DEFAULT_NODE_BUDGET, threads: int = 1
+    hg: Hypergraph, max_nodes: int | None = None, threads: int = 1
 ) -> int:
     """Exact number of edge subsets partitioning the vertex set.
 
@@ -391,11 +378,12 @@ def count_perfect_matchings(
     not divide it, the answer is 0 without a search.  Otherwise an exact
     cover search branches on the uncovered vertex with the fewest
     candidate edges (the lowest id on ties) and raises SearchBudgetError
-    once more than ``max_nodes`` edges have been tried.  An instance
-    whose search tables would exceed ``DEFAULT_TABLE_BIT_CAP`` bits is
-    refused with SizeLimitError first.  With ``threads`` > 1 the subtrees
-    below the root's candidate edges are counted in a process pool of at
-    most one worker per subtree and per CPU.  The root's candidates plus
+    once more than ``max_nodes`` edges have been tried (by default the
+    "nodes" cap).  An instance whose search tables would exceed the
+    "table_bits" cap is refused with SizeLimitError first.  With
+    ``threads`` > 1 the subtrees below the root's candidate edges are
+    counted in a process pool of at most one worker per subtree and per
+    CPU.  The root's candidates plus
     the subtree nodes are the serial node count, and the budget applies
     to that total, so the result or error does not depend on ``threads``.
     """
@@ -406,11 +394,13 @@ def count_perfect_matchings(
         return 0
     num_edges = len(hg.edges)
     bits = num_edges * (num_edges + 2 * hg.num_vertices)
-    if bits > DEFAULT_TABLE_BIT_CAP:
+    limit = cap("table_bits")
+    if bits > limit:
         raise SizeLimitError(
             f"perfect-matching search over {num_edges} edges and {hg.num_vertices} "
-            f"vertices needs {bits} table bits, above the cap {DEFAULT_TABLE_BIT_CAP}"
+            f"vertices needs {bits} table bits, above the cap {limit}"
         )
+    max_nodes = cap("nodes") if max_nodes is None else max_nodes
     tables = _cover_tables(hg.num_vertices, _edge_masks(hg))
     alive = (1 << num_edges) - 1
     first = _fewest_candidates(tables.incident, tables.full, alive)
@@ -474,6 +464,6 @@ def from_json(text: str) -> Hypergraph:
     ):
         raise InvalidHypergraphError('field "edges": must be an array of integer arrays')
     num_edges = len(raw["edges"])
-    _check_edge_cap(raw["n"], f'hypergraph JSON with {raw["n"]} vertices', DEFAULT_EDGE_CAP)
-    _check_edge_cap(num_edges, f"hypergraph JSON with {num_edges} edges", DEFAULT_EDGE_CAP)
+    check_cap("edges", raw["n"], f'hypergraph JSON with {raw["n"]} vertices')
+    check_cap("edges", num_edges, f"hypergraph JSON with {num_edges} edges")
     return Hypergraph(raw["n"], tuple(tuple(e) for e in raw["edges"]))

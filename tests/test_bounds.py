@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from queens_lab import bounds, counting
+from queens_lab import bounds, counting, errors
 from queens_lab.bounds import (
     attack_profiles,
     classical_alpha,
@@ -39,7 +39,7 @@ def test_exposure_formula_matches_brute_force(n):
 
 
 def test_exposure_matrix_is_bounded_before_it_builds(monkeypatch):
-    monkeypatch.setattr(bounds, "DMATRIX_CAP", 6)
+    monkeypatch.setitem(errors.CAPS, "dmatrix", 6)
     assert diagonal_exposure_matrix(6) == [
         [brute_force_diagonal_exposure(6, i, j) for j in range(6)] for i in range(6)
     ]
@@ -217,8 +217,8 @@ def test_check_lemmas_is_capped_before_it_searches(monkeypatch):
 
     # check_lemmas imports enumerate_solutions from counting when it runs.
     monkeypatch.setattr(counting, "enumerate_solutions", no_search)
-    for n in (bounds.LEMMA_CAP + 1, 16, 10**9):
+    for n in (errors.CAPS["lemma"] + 1, 16, 10**9):
         with pytest.raises(SizeLimitError, match="lemma-check cap"):
             bounds.check_lemmas(n)
     monkeypatch.setattr(counting, "enumerate_solutions", lambda n, mode: [])
-    assert bounds.check_lemmas(bounds.LEMMA_CAP)["passed"] is True
+    assert bounds.check_lemmas(errors.CAPS["lemma"])["passed"] is True

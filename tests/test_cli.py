@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from queens_lab import cli, core, counting, hypergraph, verify
+from queens_lab import cli, core, counting, errors, hypergraph, verify
 from queens_lab.core import ValidityReport
 
 
@@ -103,7 +103,7 @@ def test_oversized_k_is_size_limit_error(capsys, argv):
     ],
 )
 def test_hg_over_edge_cap_is_size_limit_error(capsys, monkeypatch, argv):
-    monkeypatch.setattr("queens_lab.hypergraph.DEFAULT_EDGE_CAP", 15)
+    monkeypatch.setitem(errors.CAPS, "edges", 15)
     code, out, err = run(capsys, argv)
     assert (code, out) == (1, "")
     assert json.loads(err)["code"] == "size-limit"
@@ -112,7 +112,7 @@ def test_hg_over_edge_cap_is_size_limit_error(capsys, monkeypatch, argv):
 def test_hg_in_over_edge_cap_is_size_limit_error(capsys, monkeypatch, tmp_path):
     path = tmp_path / "hg.json"
     path.write_text('{"n": 16, "edges": []}')
-    monkeypatch.setattr("queens_lab.hypergraph.DEFAULT_EDGE_CAP", 15)
+    monkeypatch.setitem(errors.CAPS, "edges", 15)
     code, out, err = run(capsys, ["hg", "--in", str(path), "--stats"])
     assert (code, out) == (1, "")
     assert json.loads(err)["code"] == "size-limit"
@@ -242,6 +242,28 @@ def test_hg_params_usage_errors():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("torus", '{"n": true}'),
+        ("transversal", '{"order": true}'),
+        ("transversal", '{"latin": [[false]]}'),
+        ("sudoku", '{"b": true}'),
+        ("steiner", '{"n": 7, "q": 3, "r": true}'),
+        ("flip", '{"k": true}'),
+    ],
+    ids=["torus", "transversal-order", "transversal-latin", "sudoku", "steiner", "flip"],
+)
+def test_hg_bool_family_params_are_usage_errors(capsys, family, params):
+    # JSON true parses to a bool, which Python also takes as the int 1.
+    with pytest.raises(SystemExit) as info:
+        cli.main(["hg", "--family", family, "--params", params, "--count-pm"])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"--params missing or malformed for family {family}" in err
+
+
 def test_bounds_alpha(capsys):
     payload = run_json(capsys, ["bounds", "--alpha"])
     assert 1.587 < payload["closed_form"] < 1.588
@@ -275,7 +297,7 @@ def test_bounds_dmatrix_csv(capsys):
 
 
 def test_bounds_dmatrix_out_of_range_is_json_error(capsys, monkeypatch):
-    monkeypatch.setattr("queens_lab.bounds.DMATRIX_CAP", 6)
+    monkeypatch.setitem(errors.CAPS, "dmatrix", 6)
     assert len(run_json(capsys, ["bounds", "--dmatrix", "6"])["matrix"]) == 6
     for argv, code in (
         (["bounds", "--dmatrix", "7"], "size-limit"),

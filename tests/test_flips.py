@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from queens_lab import cli, flips
+from queens_lab import cli, errors, flips
 from queens_lab.construction import BaseParams, build_base_config
 from queens_lab.core import QueensConfig, Square, validate_toroidal
 from queens_lab.errors import (
@@ -395,17 +395,17 @@ def test_enumeration_is_bounded_before_any_pair(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(flips, "_flip_from_pair", counted)
-    monkeypatch.setattr(flips, "FLIP_CAP", 68)
+    monkeypatch.setitem(errors.CAPS, "edges", 68)
     assert len(enumerate_flips(P2)) == 68
     pairs.clear()
-    monkeypatch.setattr(flips, "FLIP_CAP", 67)
+    monkeypatch.setitem(errors.CAPS, "edges", 67)
     with pytest.raises(SizeLimitError, match="68 flips"):
         enumerate_flips(P2)
     assert pairs == []
 
 
 def test_seeded_fallback_goes_through_the_enumeration_cap(monkeypatch):
-    monkeypatch.setattr(flips, "FLIP_CAP", 67)
+    monkeypatch.setitem(errors.CAPS, "edges", 67)
     assert len(greedy_disjoint_flips(P2, 2, seed=0)) == 2
     assert len(greedy_disjoint_flips(P2, 4)) == 4  # the unseeded scan never enumerates
     # Seed 0 samples 3 of the n // 4 = 4 flips, then falls back.
@@ -415,7 +415,7 @@ def test_seeded_fallback_goes_through_the_enumeration_cap(monkeypatch):
 
 @pytest.mark.parametrize("cap, code", [(68, 0), (67, 1)])
 def test_flips_cli_over_the_cap_is_size_limit_error(monkeypatch, capsys, cap, code):
-    monkeypatch.setattr(flips, "FLIP_CAP", cap)
+    monkeypatch.setitem(errors.CAPS, "edges", cap)
     assert cli.main(["flips", "--k", "2", "--list"]) == code
     out, err = capsys.readouterr()
     if code == 0:

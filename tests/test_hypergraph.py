@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from queens_lab import hypergraph
+from queens_lab import errors, hypergraph
 from queens_lab.counting import count_toroidal
 from queens_lab.errors import (
     InvalidHypergraphError,
@@ -106,11 +106,12 @@ def test_steiner_no_system_on_six_points():
     assert count_perfect_matchings(build_steiner_aux_hg(6, 3, 2)) == 0
 
 
-def test_steiner_guards():
+def test_steiner_guards(monkeypatch):
     with pytest.raises(InvalidHypergraphError):
         build_steiner_aux_hg(5, 3, 3)
+    monkeypatch.setitem(errors.CAPS, "edges", 1000)
     with pytest.raises(SizeLimitError):
-        build_steiner_aux_hg(60, 5, 2, edge_cap=1000)
+        build_steiner_aux_hg(60, 5, 2)
 
 
 def test_steiner_size_is_refused_before_the_binomial():
@@ -146,9 +147,9 @@ CAPPED_BUILDERS = [
     ids=["torus", "cyclic-latin", "sudoku", "flip", "json-vertices", "json-edges"],
 )
 def test_builders_check_the_edge_cap(monkeypatch, build, arg, size):
-    monkeypatch.setattr(hypergraph, "DEFAULT_EDGE_CAP", size)
+    monkeypatch.setitem(errors.CAPS, "edges", size)
     build(arg)
-    monkeypatch.setattr(hypergraph, "DEFAULT_EDGE_CAP", size - 1)
+    monkeypatch.setitem(errors.CAPS, "edges", size - 1)
     with pytest.raises(SizeLimitError, match="exceeds the edge cap"):
         build(arg)
 
@@ -329,13 +330,13 @@ def test_size_gcd_not_dividing_the_vertex_count_means_no_search(monkeypatch):
 
 def test_search_tables_are_capped(monkeypatch):
     sudoku = build_sudoku_hg(2)  # 64 edges, 64 vertices
-    monkeypatch.setattr(hypergraph, "DEFAULT_TABLE_BIT_CAP", 64 * (64 + 2 * 64))
+    monkeypatch.setitem(errors.CAPS, "table_bits", 64 * (64 + 2 * 64))
     assert count_perfect_matchings(sudoku) == 288
-    monkeypatch.setattr(hypergraph, "DEFAULT_TABLE_BIT_CAP", 64 * (64 + 2 * 64) - 1)
+    monkeypatch.setitem(errors.CAPS, "table_bits", 64 * (64 + 2 * 64) - 1)
     with pytest.raises(SizeLimitError, match="needs 12288 table bits, above the cap 12287"):
         count_perfect_matchings(sudoku)
     # The gcd rule answers before the tables are sized.
-    monkeypatch.setattr(hypergraph, "DEFAULT_TABLE_BIT_CAP", 0)
+    monkeypatch.setitem(errors.CAPS, "table_bits", 0)
     assert count_perfect_matchings(build_flip_hg(1)) == 0
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .core import QueensConfig, validate_classical
 from .errors import InvalidConfigError, check_cap
-from .quadrature import DEFAULT_TOL, QuadratureResult, integrate
+from .quadrature import QuadratureResult, integrate
 
 
 @dataclass(frozen=True)
@@ -147,9 +147,7 @@ def check_lemmas(n: int) -> dict:
     }
 
 
-def log_poly_integral(
-    a: float, b: float, c: float, with_one: bool, tol: float = DEFAULT_TOL
-) -> QuadratureResult:
+def log_poly_integral(a: float, b: float, c: float, with_one: bool) -> QuadratureResult:
     """integral_0^1 log((1 if with_one else 0) + a x^3 + b x^2 + c x) dx.
 
     Without the constant term the integrand has an integrable log
@@ -165,10 +163,10 @@ def log_poly_integral(
     def f(x: float) -> float:
         return math.log(shift + ((a * x + b) * x + c) * x)
 
-    return integrate(f, 0.0, 1.0, tol=tol, singular_left=not with_one)
+    return integrate(f, 0.0, 1.0, singular_left=not with_one)
 
 
-def classical_alpha(method: str = "closed_form", tol: float = 1e-12) -> float:
+def classical_alpha(method: str = "closed_form") -> float:
     """The classical-board bound constant, by either route.
 
     closed_form: 3 - 2 sqrt(3/5) arctan(sqrt(5/3)).
@@ -178,9 +176,7 @@ def classical_alpha(method: str = "closed_form", tol: float = 1e-12) -> float:
     if method == "closed_form":
         return 3.0 - 2.0 * math.sqrt(3.0 / 5.0) * math.atan(math.sqrt(5.0 / 3.0))
     if method == "quadrature":
-        result = integrate(
-            lambda x: math.log(0.625 * x * x + 0.375), 0.0, 1.0, tol=tol
-        )
+        result = integrate(lambda x: math.log(0.625 * x * x + 0.375), 0.0, 1.0, tol=1e-12)
         return 1.0 - result.value
     raise InvalidConfigError(f"method must be 'closed_form' or 'quadrature', got {method!r}")
 
@@ -200,9 +196,7 @@ def classical_bound_log(n: int) -> float:
     return n * (math.log(n) - classical_alpha("closed_form"))
 
 
-def hypergraph_integral_check(
-    k: float, d: int, c_bad: float = 0.0, tol: float = DEFAULT_TOL
-) -> QuadratureResult:
+def hypergraph_integral_check(k: float, d: int, c_bad: float = 0.0) -> QuadratureResult:
     """Quadrature of d * integral_0^1 x^(d-1) log(k x^(d(d-1)) + c_bad) dx.
 
     For c_bad = 0 the closed form is log k - (d - 1), the per-vertex term
@@ -217,7 +211,7 @@ def hypergraph_integral_check(
         return x ** (d - 1) * math.log(k * x**power + c_bad)
 
     singular = c_bad == 0 and d >= 2
-    result = integrate(f, 0.0, 1.0, tol=tol, singular_left=singular)
+    result = integrate(f, 0.0, 1.0, singular_left=singular)
     return QuadratureResult(
         value=d * result.value,
         abs_error_estimate=d * result.abs_error_estimate,

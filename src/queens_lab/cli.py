@@ -179,6 +179,11 @@ def _run_count(args, parser) -> Any:
     }
 
 
+# The --params keys each hg --family reads; transversal reads "latin" or,
+# without it, "order".
+_FAMILY_KEYS = {"torus": {"n"}, "sudoku": {"b"}, "steiner": {"n", "q", "r"}, "flip": {"k"}}
+
+
 def _holds_bool(value: Any) -> bool:
     """True when a parsed JSON value is or holds true or false."""
     if isinstance(value, dict):
@@ -200,6 +205,13 @@ def _hg_from_args(args, parser) -> tuple[hypergraph.Hypergraph, str, dict]:
     try:
         if _holds_bool(raw):  # JSON true and false would pass as the ints 1 and 0
             raise TypeError("true or false given")
+        if isinstance(raw, dict):
+            if args.family == "transversal":
+                read = {"latin"} if "latin" in raw else {"order"}
+            else:
+                read = _FAMILY_KEYS[args.family]
+            if raw.keys() - read:
+                raise TypeError(f"keys not read: {sorted(raw.keys() - read)}")
         if args.family == "torus":
             return hypergraph.build_torus_queens_hg(raw["n"]), "torus", raw
         if args.family == "transversal":

@@ -47,7 +47,7 @@ from typing import Iterator
 
 from . import core
 from .core import QueensConfig
-from .errors import InvalidConfigError, SizeLimitError, check_cap
+from .errors import InvalidConfigError, check_cap
 
 MODES = ("classical", "toroidal")
 
@@ -70,7 +70,7 @@ def _check_mode(mode: str) -> None:
 
 def _check_size(n: int, entry: str) -> None:
     if n < 1:
-        raise SizeLimitError(f"board size must be >= 1, got {n}")
+        raise InvalidConfigError(f"board size must be >= 1, got {n}")
     check_cap(entry, n, f"board size {n}")
 
 

@@ -4,7 +4,8 @@ Every domain failure raises a subclass of QueensLabError so the CLI can
 map library errors to exit code 1 and keep usage errors (exit code 2)
 separate.  Errors that carry extra constructor arguments define
 ``__reduce__`` so they survive pickling, and with it a trip back from a
-process-pool worker.  ``CAPS`` is the one table of size limits.
+process-pool worker.  ``CAPS`` is the one table of size limits and work
+budgets.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ class SizeLimitError(QueensLabError):
     code = "size-limit"
 
 
-# Every size limit, by resource, each checked before the work it bounds
-# is allocated or started.  QUEENS_LAB_CAP replaces "count" and "board".
+# Every size limit and work budget, by resource: a size is checked before
+# the work it bounds is allocated or started, a budget as the work runs.
+# QUEENS_LAB_CAP replaces "count" and "board".
 CAPS = {
     "count": 16,  # board size of the exact counters and enumerate_solutions
     "oracle": 10,  # board size of the permutation oracle, which builds n! boards
@@ -40,7 +42,8 @@ CAPS = {
     "board": 4**8 + 1,  # board size 4^k + 1 of the construction and its flips
     "edges": 10**6,  # hypergraph edges or vertices, and flips enumerated at once
     "table_bits": 2**30,  # perfect-matching search tables, 128 MiB
-    "nodes": 5 * 10**7,  # default node budget of count_perfect_matchings
+    "nodes": 5 * 10**7,  # node budget of count_perfect_matchings
+    "evals": 2_000_000,  # evaluation budget of one adaptive_simpson call
 }
 _ENV_CAP = "QUEENS_LAB_CAP"
 # How a SizeLimitError names a cap, where not as plain "cap".

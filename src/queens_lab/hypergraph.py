@@ -368,9 +368,7 @@ def _pm_subtree(
         return 0, exc.nodes_visited
 
 
-def count_perfect_matchings(
-    hg: Hypergraph, max_nodes: int | None = None, threads: int = 1
-) -> int:
+def count_perfect_matchings(hg: Hypergraph, threads: int = 1) -> int:
     """Exact number of edge subsets partitioning the vertex set.
 
     The edges of a perfect matching partition the vertices, so their
@@ -378,14 +376,14 @@ def count_perfect_matchings(
     not divide it, the answer is 0 without a search.  Otherwise an exact
     cover search branches on the uncovered vertex with the fewest
     candidate edges (the lowest id on ties) and raises SearchBudgetError
-    once more than ``max_nodes`` edges have been tried (by default the
-    "nodes" cap).  An instance whose search tables would exceed the
-    "table_bits" cap is refused with SizeLimitError first.  With
-    ``threads`` > 1 the subtrees below the root's candidate edges are
-    counted in a process pool of at most one worker per subtree and per
-    CPU.  The root's candidates plus
-    the subtree nodes are the serial node count, and the budget applies
-    to that total, so the result or error does not depend on ``threads``.
+    once it has tried more edges than the "nodes" cap, read at call
+    time.  An instance whose search tables would exceed the "table_bits"
+    cap is refused with SizeLimitError first.  With ``threads`` > 1 the
+    subtrees below the root's candidate edges are counted in a process
+    pool of at most one worker per subtree and per CPU.  The root's
+    candidates plus the subtree nodes are the serial node count, and the
+    budget applies to that total, so the result or error does not depend
+    on ``threads``.
     """
     if hg.num_vertices == 0:
         return 1
@@ -400,7 +398,7 @@ def count_perfect_matchings(
             f"perfect-matching search over {num_edges} edges and {hg.num_vertices} "
             f"vertices needs {bits} table bits, above the cap {limit}"
         )
-    max_nodes = cap("nodes") if max_nodes is None else max_nodes
+    budget = cap("nodes")
     tables = _cover_tables(hg.num_vertices, _edge_masks(hg))
     alive = (1 << num_edges) - 1
     first = _fewest_candidates(tables.incident, tables.full, alive)
@@ -409,16 +407,17 @@ def count_perfect_matchings(
         edges = [i for i in range(num_edges) if first >> i & 1]
         covers = [tables.masks[i] for i in edges]
         alives = [alive & ~tables.conflict[i] for i in edges]
-        budget = max_nodes - len(edges)
         global ProcessPoolExecutor
         if ProcessPoolExecutor is None:
             from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_pm_subtree, repeat(tables), covers, alives, repeat(budget)))
-        if len(edges) + sum(nodes for _, nodes in results) > max_nodes:
-            raise SearchBudgetError(nodes_visited=max_nodes + 1, budget=max_nodes)
+            results = list(
+                pool.map(_pm_subtree, repeat(tables), covers, alives, repeat(budget - len(edges)))
+            )
+        if len(edges) + sum(nodes for _, nodes in results) > budget:
+            raise SearchBudgetError(nodes_visited=budget + 1, budget=budget)
         return sum(count for count, _ in results)
-    count, _ = _cover_search(tables, 0, alive, max_nodes)
+    count, _ = _cover_search(tables, 0, alive, budget)
     return count
 
 

@@ -14,9 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import QuadratureError
+from .errors import QuadratureError, cap
 
 DEFAULT_TOL = 1e-9
+MAX_DEPTH = 60  # bisection depth of one adaptive_simpson panel
+MAX_PANELS = 400  # geometric panels of integrate's singular path
 
 
 @dataclass(frozen=True)
@@ -31,23 +33,24 @@ def adaptive_simpson(
     lo: float,
     hi: float,
     tol: float = DEFAULT_TOL,
-    max_depth: int = 60,
-    max_evals: int = 2_000_000,
 ) -> QuadratureResult:
     """Integrate a smooth f over [lo, hi] by adaptive panel bisection.
 
     A panel is accepted when the two-half Simpson refinement moves the
     estimate by at most 15 * (local tolerance); the standard Richardson
-    correction is applied to the accepted value.
+    correction is applied to the accepted value.  More than the "evals"
+    cap of evaluations, or a panel bisected MAX_DEPTH times, raises
+    QuadratureError.
     """
+    limit = cap("evals")
     evals = 0
 
     def ev(x: float) -> float:
         nonlocal evals
         evals += 1
-        if evals > max_evals:
+        if evals > limit:
             raise QuadratureError(
-                f"evaluation budget {max_evals} exhausted before tolerance {tol}"
+                f"evaluation budget {limit} exhausted before tolerance {tol}"
             )
         return f(x)
 
@@ -74,9 +77,9 @@ def adaptive_simpson(
         delta = left + right - whole
         if abs(delta) <= 15.0 * budget:
             return left + right + delta / 15.0, abs(delta) / 15.0
-        if depth >= max_depth:
+        if depth >= MAX_DEPTH:
             raise QuadratureError(
-                f"tolerance {tol} unreachable at depth {max_depth} on [{a}, {b}]"
+                f"tolerance {tol} unreachable at depth {MAX_DEPTH} on [{a}, {b}]"
             )
         lv, le = rec(a, mid, fa, flm, fm, left, budget / 2.0, depth + 1)
         rv, re = rec(mid, b, fm, frm, fb, right, budget / 2.0, depth + 1)
@@ -98,7 +101,6 @@ def integrate(
     hi: float,
     tol: float = DEFAULT_TOL,
     singular_left: bool = False,
-    max_panels: int = 400,
 ) -> QuadratureResult:
     """Integrate f over [lo, hi], tolerating a log singularity at lo.
 
@@ -116,7 +118,7 @@ def integrate(
     err = 0.0
     evals = 0
     right = hi
-    for i in range(1, max_panels + 1):
+    for i in range(1, MAX_PANELS + 1):
         left = lo + width * 2.0 ** (-i)
         panel = adaptive_simpson(f, left, right, tol * 2.0 ** (-i - 1))
         total += panel.value
@@ -130,5 +132,5 @@ def integrate(
                     value=total, abs_error_estimate=err + tail, evaluations=evals
                 )
     raise QuadratureError(
-        f"singular tail did not fall below tolerance {tol} in {max_panels} panels"
+        f"singular tail did not fall below tolerance {tol} in {MAX_PANELS} panels"
     )

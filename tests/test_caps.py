@@ -4,11 +4,13 @@ entries.  Where reaching the real cap would take too long, the entry is
 shrunk in the table; the shrunk "edges" and "table_bits" entries are
 tested beside their builders in test_hypergraph.py."""
 
+import math
+
 import pytest
 
-from queens_lab import bounds, counting, errors, hypergraph
+from queens_lab import bounds, counting, errors, hypergraph, quadrature
 from queens_lab.construction import build_base_config, capped_params
-from queens_lab.errors import SearchBudgetError, SizeLimitError, cap
+from queens_lab.errors import QuadratureError, SearchBudgetError, SizeLimitError, cap
 
 
 def test_table_entries():
@@ -21,6 +23,7 @@ def test_table_entries():
         "edges": 10**6,
         "table_bits": 2**30,
         "nodes": 5 * 10**7,
+        "evals": 2_000_000,
     }
 
 
@@ -121,5 +124,16 @@ def test_nodes_cap_is_the_default_budget(monkeypatch):
     with pytest.raises(SearchBudgetError) as info:
         hypergraph.count_perfect_matchings(sudoku)
     assert (info.value.nodes_visited, info.value.budget) == (nodes, nodes - 1)
-    # An explicit budget replaces the table entry.
-    assert hypergraph.count_perfect_matchings(sudoku, max_nodes=nodes) == 288
+
+
+def test_evals_cap_is_the_quadrature_budget(monkeypatch):
+    def sine():
+        return quadrature.adaptive_simpson(math.sin, 0.0, math.pi, tol=1e-10)
+
+    evals = sine().evaluations
+    monkeypatch.setitem(errors.CAPS, "evals", evals)
+    assert sine().evaluations == evals
+    monkeypatch.setitem(errors.CAPS, "evals", evals - 1)
+    refusal = f"^evaluation budget {evals - 1} exhausted before tolerance 1e-10$"
+    with pytest.raises(QuadratureError, match=refusal):
+        sine()

@@ -264,6 +264,25 @@ def test_hg_bool_family_params_are_usage_errors(capsys, family, params):
     assert f"--params missing or malformed for family {family}" in err
 
 
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("torus", '{"n": 5, "extra": 1}'),
+        ("transversal", '{"latin": [[0, 1], [1, 0]], "order": 3}'),
+        ("sudoku", '{"b": 2, "n": 4}'),
+        ("steiner", '{"n": 7, "q": 3, "r": 2, "k": 1}'),
+        ("flip", '{"k": 2, "t": 1}'),
+    ],
+)
+def test_hg_family_keys_it_does_not_read_are_usage_errors(capsys, family, params):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["hg", "--family", family, "--params", params, "--count-pm"])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"--params missing or malformed for family {family}" in err
+
+
 def test_bounds_alpha(capsys):
     payload = run_json(capsys, ["bounds", "--alpha"])
     assert 1.587 < payload["closed_form"] < 1.588
@@ -407,3 +426,13 @@ def test_check_lemmas_above_cap_is_size_limit_error(capsys):
     code, out, err = run(capsys, ["bounds", "--check-lemmas", "--n", "16"])
     assert (code, out) == (1, "")
     assert json.loads(err)["code"] == "size-limit"
+
+
+def test_check_lemmas_below_one_is_invalid_config(capsys):
+    code, out, err = run(capsys, ["bounds", "--check-lemmas", "--n", "0"])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "status": "error",
+        "code": "invalid-config",
+        "message": "board size must be >= 1, got 0",
+    }

@@ -104,7 +104,7 @@ def test_thread_count_does_not_change_result():
 def test_size_caps():
     with pytest.raises(SizeLimitError):
         count_classical(17)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(InvalidConfigError):
         count_classical(0)
     with pytest.raises(SizeLimitError):
         oracle_count(11, "classical")

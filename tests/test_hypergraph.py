@@ -211,17 +211,21 @@ def test_matching_threads_agree():
     assert count_perfect_matchings(build_torus_queens_hg(7), threads=2) == 28
 
 
-def test_matching_budget():
+def test_matching_budget(monkeypatch):
+    monkeypatch.setitem(errors.CAPS, "nodes", 5)
     with pytest.raises(SearchBudgetError) as info:
-        count_perfect_matchings(build_sudoku_hg(2), max_nodes=5)
+        count_perfect_matchings(build_sudoku_hg(2))
     assert info.value.nodes_visited > 5
 
 
 def _outcome(hg, max_nodes, threads):
-    try:
-        return count_perfect_matchings(hg, max_nodes=max_nodes, threads=threads)
-    except SearchBudgetError as exc:
-        return ("budget", exc.nodes_visited, exc.budget)
+    """The count, or the budget error, with the "nodes" cap at ``max_nodes``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(errors.CAPS, "nodes", max_nodes)
+        try:
+            return count_perfect_matchings(hg, threads=threads)
+        except SearchBudgetError as exc:
+            return ("budget", exc.nodes_visited, exc.budget)
 
 
 @pytest.mark.parametrize("hg", [build_sudoku_hg(2), build_torus_queens_hg(5)])
@@ -320,8 +324,10 @@ def test_size_gcd_not_dividing_the_vertex_count_means_no_search(monkeypatch):
     sizes = []
     monkeypatch.setattr(hypergraph, "ProcessPoolExecutor", recording_pool(sizes))
     start = time.process_time()
-    for threads in (1, 2):
-        assert count_perfect_matchings(flip3, max_nodes=0, threads=threads) == 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(errors.CAPS, "nodes", 0)
+        for threads in (1, 2):
+            assert count_perfect_matchings(flip3, threads=threads) == 0
     assert time.process_time() - start < 1.0
     assert sizes == []
     assert count_perfect_matchings(Hypergraph(6, ((0, 1), (2, 3, 4)))) == 0

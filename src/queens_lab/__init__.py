@@ -33,6 +33,8 @@ _EXPORTS = {
         "Square",
         "ValidityReport",
         "Violation",
+        "is_classical",
+        "is_toroidal",
         "parse",
         "serialize",
         "validate_classical",

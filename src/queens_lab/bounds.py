@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import QueensConfig, validate_classical
+from .core import QueensConfig, is_classical
 from .errors import InvalidConfigError, check_cap
 from .quadrature import QuadratureResult, integrate
 
@@ -78,7 +78,7 @@ def _rule_out_counts(config: QueensConfig) -> list[tuple[int, int, int]]:
     without p[y].  Then by_three = |A & B| and by_two = |A ^ B|.  The sets
     are bit masks: one shift of the board-wide mask per row.
     """
-    if not validate_classical(config).is_valid:
+    if not is_classical(config):
         raise InvalidConfigError("config is not a valid classical solution")
     n = config.n
     row_mask = (1 << n) - 1

@@ -36,11 +36,15 @@ class CommandResult:
     status: str
 
 
-def _read_input(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+def _read_input(path: str | None, parser) -> str:
+    """The --in text (stdin for None or "-"); unreadable input is a usage error."""
+    try:
+        if path is None or path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        parser.error(f"argument --in: can't read {path or '-'!r}: {exc}")
 
 
 def _config_payload(config: core.QueensConfig) -> dict:
@@ -195,7 +199,7 @@ def _hg_from_args(args, parser) -> tuple[hypergraph.Hypergraph, str, dict]:
     from . import hypergraph
 
     if args.infile is not None:
-        return hypergraph.from_json(_read_input(args.infile)), "custom", {}
+        return hypergraph.from_json(_read_input(args.infile, parser)), "custom", {}
     if args.family is None:
         parser.error("hg requires --family or --in")
     try:
@@ -297,7 +301,7 @@ def _run_bounds(args, parser) -> Any:
     if args.profile:
         from . import core
 
-        config = core.parse(_read_input(args.infile))
+        config = core.parse(_read_input(args.infile, parser))
         profiles = bounds.attack_profiles(config)
         return {
             "n": config.n,
@@ -378,8 +382,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     out = result.params.get("out")
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            _build_parser().error(f"argument --out: can't write {out!r}: {exc}")
     else:
         sys.stdout.write(text)
     if result.command == "verify" and not result.payload["passed"]:

@@ -13,16 +13,13 @@ at once, by a type check and one set comparison against a cached
 which name the first fault.  Either way the checks run in
 ``__post_init__``, once per construction, positional or keyword.
 
-The validators decide validity from set sizes alone: a placement is
-valid exactly when each diagonal family takes n distinct indices, and
-the second family is only looked at when the first passes.  A rejected
-placement gets a private ValidityReport subclass whose ``is_valid`` is a
-class attribute, so the report costs an allocation and one slot write
-holding the permutation; its ``violations`` are tallied from it the
-first time they are read.  Filtering many placements (the permutation
-oracle) thus builds no violation lists.  Every per-n cache holds O(n)
-entries, since the torus validator also checks base boards of 65 537
-squares.
+The predicates is_classical and is_toroidal decide validity from set
+sizes alone: a placement is valid exactly when each diagonal family takes
+n distinct indices, the second family looked at only when the first
+passes.  Each validator wraps the same predicate in a ValidityReport
+that lists a rejected placement's over-occupied lines.  Every per-n
+cache holds O(n) entries, since the torus predicate also checks base
+boards of 65 537 squares.
 """
 
 from __future__ import annotations
@@ -52,75 +49,12 @@ class Violation(NamedTuple):
     multiplicity: int
 
 
+@dataclass(frozen=True)
 class ValidityReport:
-    """Outcome of a validator: ``is_valid`` and the over-occupied lines.
+    """A validator's verdict and the over-occupied lines, by (kind, index)."""
 
-    Constructed directly it holds the given values.  Validators reject a
-    placement with a ``_Rejected`` report, which keeps the permutation
-    (and the modulus on the torus) and tallies ``violations`` on first
-    access, sorted by (kind, index).  Immutable; equality, hash and repr
-    go by ``(is_valid, violations)``.
-    """
-
-    __slots__ = ("is_valid", "_violations", "_pending")
-
-    def __init__(self, is_valid: bool, violations: tuple[Violation, ...]):
-        object.__setattr__(self, "is_valid", is_valid)
-        object.__setattr__(self, "_violations", violations)
-        object.__setattr__(self, "_pending", None)
-
-    @property
-    def violations(self) -> tuple[Violation, ...]:
-        pending = self._pending  # read once: another thread may clear it
-        if pending is not None:
-            p, modulus = pending
-            plus = [x + y for y, x in enumerate(p)]
-            minus = [x - y for y, x in enumerate(p)]
-            if modulus is not None:
-                plus = [i % modulus for i in plus]
-                minus = [i % modulus for i in minus]
-            tally = tuple(
-                Violation(kind, index, mult)
-                for kind, indices in (("minus-diagonal", minus), ("plus-diagonal", plus))
-                for index, mult in sorted(Counter(indices).items())
-                if mult > 1
-            )
-            object.__setattr__(self, "_violations", tally)
-            object.__setattr__(self, "_pending", None)
-        return self._violations
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"ValidityReport is immutable; cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if not isinstance(other, ValidityReport):
-            return NotImplemented
-        return (self.is_valid, self.violations) == (other.is_valid, other.violations)
-
-    def __hash__(self):
-        return hash((self.is_valid, self.violations))
-
-    def __repr__(self):
-        return f"ValidityReport(is_valid={self.is_valid!r}, violations={self.violations!r})"
-
-    def __reduce__(self):
-        return ValidityReport, (self.is_valid, self.violations)
-
-
-class _Rejected(ValidityReport):
-    """A rejected placement, as a validator returns it.  ``is_valid`` is a
-    class attribute, so building one is an allocation and one write of
-    ``_pending``: (p, modulus), with modulus n on the torus and None on
-    the classical board.  Pickles as a plain ValidityReport."""
-
-    __slots__ = ()
-    is_valid = False
-
-
-_new = object.__new__
-_set_pending = ValidityReport._pending.__set__
+    is_valid: bool
+    violations: tuple[Violation, ...]
 
 
 @dataclass(frozen=True)
@@ -190,29 +124,36 @@ def _wrap(n: int):
     return (list(range(n)) * 2).__getitem__
 
 
-def validate_toroidal(config: QueensConfig) -> ValidityReport:
-    """Check that both wrap-around diagonal families are exactly covered.
+def _violations(p: tuple[int, ...], wrap=int) -> tuple[Violation, ...]:
+    """Every over-occupied diagonal of ``p``, sorted by (kind, index); ``wrap``
+    maps a diagonal's integer index to its line (the identity by default)."""
+    rows = range(len(p))
+    return tuple(
+        Violation(kind, index, mult)
+        for kind, op in (("minus-diagonal", sub), ("plus-diagonal", add))
+        for index, mult in sorted(Counter(map(wrap, map(op, p, rows))).items())
+        if mult > 1
+    )
+
+
+def is_toroidal(config: QueensConfig) -> bool:
+    """Whether both wrap-around diagonal families are exactly covered.
 
     Rows and columns are already guaranteed by the permutation invariant,
-    so only repeated residues of ``x + y`` and ``x - y`` mod n can appear
-    as violations.
+    so only the residues of ``x + y`` and ``x - y`` mod n can repeat.
     """
     p = config.p
     n = len(p)
     rows = range(n)
     wrap = _wrap(n)
-    if (
+    return (
         len(set(map(wrap, map(add, p, rows)))) == n
         and len(set(map(wrap, map(sub, p, rows)))) == n
-    ):
-        return _VALID
-    report = _new(_Rejected)
-    _set_pending(report, (p, n))
-    return report
+    )
 
 
-def validate_classical(config: QueensConfig) -> ValidityReport:
-    """Check the classical no-two-queens-attack condition.
+def is_classical(config: QueensConfig) -> bool:
+    """Whether no two queens attack on the classical board.
 
     Diagonal indices are taken over the integers: ``x + y`` in
     ``0 .. 2n-2`` and ``x - y`` in ``-(n-1) .. n-1``, with no wrap.
@@ -220,11 +161,21 @@ def validate_classical(config: QueensConfig) -> ValidityReport:
     p = config.p
     n = len(p)
     rows = range(n)
-    if len(set(map(add, p, rows))) == n and len(set(map(sub, p, rows))) == n:
+    return len(set(map(add, p, rows))) == n and len(set(map(sub, p, rows))) == n
+
+
+def validate_toroidal(config: QueensConfig) -> ValidityReport:
+    """is_toroidal, with the repeated residues mod n as violations."""
+    if is_toroidal(config):
         return _VALID
-    report = _new(_Rejected)
-    _set_pending(report, (p, None))
-    return report
+    return ValidityReport(False, _violations(config.p, _wrap(config.n)))
+
+
+def validate_classical(config: QueensConfig) -> ValidityReport:
+    """is_classical, with the repeated integer diagonals as violations."""
+    if is_classical(config):
+        return _VALID
+    return ValidityReport(False, _violations(config.p))
 
 
 def serialize(config: QueensConfig) -> str:

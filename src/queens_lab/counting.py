@@ -12,7 +12,7 @@ provides an independent slow check: oracle_counts makes one pass over
 the n! permutations for any set of modes, building each permutation once
 as a checked QueensConfig (positionally, through the same
 ``__post_init__`` checks as every construction) and handing it to every
-mode's core validator (looked up per call); oracle_count is that pass
+mode's core predicate (looked up per call); oracle_count is that pass
 for one mode.
 
 The search is reduced by symmetry.  The mirror x -> n - 1 - x maps
@@ -240,19 +240,19 @@ def count_toroidal(n: int, threads: int = 1) -> CountResult:
 
 def oracle_counts(n: int, modes: tuple[str, ...]) -> tuple[CountResult, ...]:
     """Independent slow counts, one per mode: filter all n! permutations
-    through the core validators in one pass, each permutation built once
-    as a checked QueensConfig and handed to every mode's validator.
+    through the core predicates in one pass, each permutation built once
+    as a checked QueensConfig and handed to every mode's predicate.
     Capped at the "oracle" entry of ``CAPS``."""
     for mode in modes:
         _check_mode(mode)
     _check_size(n, "oracle")
-    # Looked up per call, so a replaced core validator is the one used.
-    validators = [(i, getattr(core, f"validate_{mode}")) for i, mode in enumerate(modes)]
+    # Looked up per call, so a replaced core predicate is the one used.
+    predicates = [(i, getattr(core, f"is_{mode}")) for i, mode in enumerate(modes)]
     counts = [0] * len(modes)
     for checked, perm in enumerate(permutations(range(n)), 1):
         config = QueensConfig(n, perm)
-        for i, validate in validators:
-            if validate(config).is_valid:
+        for i, valid in predicates:
+            if valid(config):
                 counts[i] += 1
     return tuple(CountResult(n, mode, c, checked) for mode, c in zip(modes, counts))
 

@@ -34,7 +34,7 @@ from itertools import islice
 from typing import Iterator
 
 from .construction import BaseParams, capped_params, mod_inverse
-from .core import QueensConfig, Square, validate_toroidal
+from .core import QueensConfig, Square, is_toroidal
 from .errors import (
     FlipError,
     GreedyExhaustionError,
@@ -323,7 +323,7 @@ def apply_flips(base: QueensConfig, flip_set: FlipSet) -> QueensConfig:
         for x, y in flip.added:
             p[y] = x
     result = QueensConfig(n=params.n, p=tuple(p))
-    if not validate_toroidal(result).is_valid:
+    if not is_toroidal(result):
         raise InternalConsistencyError("flip application broke toroidal validity")
     return result
 

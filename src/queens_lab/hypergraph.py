@@ -138,7 +138,7 @@ def validate_latin_square(latin: list[list[int]]) -> int:
     for i, row in enumerate(latin):
         if len(row) != n:
             raise InvalidHypergraphError(f"row {i} has length {len(row)}, expected {n}")
-        if set(row) != symbols:
+        if set(map(type, row)) != {int} or set(row) != symbols:
             raise InvalidHypergraphError(f"row {i} is not a permutation of 0..{n - 1}")
     for j in range(n):
         col = [latin[i][j] for i in range(n)]

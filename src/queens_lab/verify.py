@@ -84,7 +84,7 @@ def _board_checks(bases: dict, full: bool) -> list[dict]:
     single_valid, cover_exact, intersect_ok = {}, {}, {}
     for k, base in bases.items():
         n = base.n
-        valid[k] = core.validate_toroidal(base).is_valid
+        valid[k] = core.is_toroidal(base)
         additive[k] = all(
             base.p[(y1 + y2) % n] == (base.p[y1] + base.p[y2]) % n
             for y1 in range(n)
@@ -94,7 +94,7 @@ def _board_checks(bases: dict, full: bool) -> list[dict]:
         counts.append((k, n * (n - 1) // 4, len(all_flips)))
         tried = all_flips if k <= 2 else random.Random(0).sample(all_flips, 100)
         boards = [flips.apply_flips(base, flips.FlipSet(flips=(f,))) for f in tried]
-        single_valid[k] = all(core.validate_toroidal(b).is_valid for b in boards)
+        single_valid[k] = all(map(core.is_toroidal, boards))
         if k > 2:
             continue
         added = [s for f in all_flips for s in f.added]

@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from queens_lab import cli, core, counting, errors, hypergraph, verify
-from queens_lab.core import ValidityReport
 
 
 def run(capsys, argv):
@@ -283,6 +282,44 @@ def test_hg_family_keys_it_does_not_read_are_usage_errors(capsys, family, params
     assert f"--params missing or malformed for family {family}" in err
 
 
+@pytest.mark.parametrize("flags", [[], ["--stats"], ["--count-pm"]])
+def test_hg_float_latin_square_is_invalid_hypergraph(capsys, flags):
+    # 0.0 == 0, so a set comparison alone would take the float as symbol 0.
+    params = '{"latin": [[0.0, 1], [1, 0]]}'
+    code, out, err = run(capsys, ["hg", "--family", "transversal", "--params", params, *flags])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["code"] == "invalid-hypergraph"
+
+
+def _usage_error(capsys, argv, option, path):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: ")
+    assert f"argument {option}: " in err and repr(str(path)) in err
+    assert "Traceback" not in err
+
+
+def test_missing_in_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing.json"
+    _usage_error(capsys, ["hg", "--in", str(path), "--stats"], "--in", path)
+
+
+def test_undecodable_in_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"n": 1, "p": [0]}\xff')
+    _usage_error(capsys, ["bounds", "--profile", "--in", str(path)], "--in", path)
+
+
+def test_unwritable_out_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "config.json"
+    _usage_error(capsys, ["construct", "--k", "1", "--out", str(path)], "--out", path)
+    assert not path.parent.exists()
+
+
 def test_bounds_alpha(capsys):
     payload = run_json(capsys, ["bounds", "--alpha"])
     assert 1.587 < payload["closed_form"] < 1.588
@@ -381,12 +418,9 @@ def test_verify_quick_matches_pinned_report(capsys):
 
 
 def test_verify_detects_tampered_validator(capsys, monkeypatch):
-    # Negative control: a validator that waves everything through must
+    # Negative control: a predicate that waves everything through must
     # make the oracle comparisons fail and the suite exit nonzero.
-    monkeypatch.setattr(
-        "queens_lab.core.validate_toroidal",
-        lambda config: ValidityReport(is_valid=True, violations=()),
-    )
+    monkeypatch.setattr("queens_lab.core.is_toroidal", lambda config: True)
     code, out, _ = run(capsys, ["verify", "--level", "quick"])
     assert code == 1
     payload = json.loads(out)
@@ -395,12 +429,9 @@ def test_verify_detects_tampered_validator(capsys, monkeypatch):
 
 
 def test_verify_detects_tampered_classical_validator(capsys, monkeypatch):
-    # The oracle hands each board to both validators in one pass, so the
+    # The oracle hands each board to both predicates in one pass, so the
     # classical lookup must be live as well.
-    monkeypatch.setattr(
-        "queens_lab.core.validate_classical",
-        lambda config: ValidityReport(is_valid=True, violations=()),
-    )
+    monkeypatch.setattr("queens_lab.core.is_classical", lambda config: True)
     code, out, _ = run(capsys, ["verify", "--level", "quick"])
     assert code == 1
     payload = json.loads(out)

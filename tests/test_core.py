@@ -9,6 +9,8 @@ from queens_lab.core import (
     Square,
     ValidityReport,
     Violation,
+    is_classical,
+    is_toroidal,
     parse,
     serialize,
     validate_classical,
@@ -207,11 +209,14 @@ def test_reports_match_counter_reference_exhaustive(validator, toroidal):
     import pickle
     from itertools import permutations
 
+    predicate = is_toroidal if toroidal else is_classical
+
     for n in range(1, 7):
         for p in permutations(range(n)):
             report = validator(cfg(p))
             expected = reference_violations(p, toroidal)
             assert report.is_valid == (expected == ())
+            assert predicate(cfg(p)) == (expected == ())
             assert report.violations == expected
             assert report.violations == expected  # second read: same tally
             # Each report below is fresh, so its first read is its own

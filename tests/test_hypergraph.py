@@ -83,6 +83,8 @@ def test_transversal_rejects_bad_latin_square():
         build_transversal_hg([[0, 0], [1, 1]])
     with pytest.raises(InvalidHypergraphError, match="column 0"):
         build_transversal_hg([[0, 1], [0, 1]])
+    with pytest.raises(InvalidHypergraphError, match="row 0"):
+        build_transversal_hg([[0.0, 1], [1, 0]])
 
 
 def test_sudoku_stats_and_count():

@@ -16,10 +16,13 @@ which name the first fault.  Either way the checks run in
 The predicates is_classical and is_toroidal decide validity from set
 sizes alone: a placement is valid exactly when each diagonal family takes
 n distinct indices, the second family looked at only when the first
-passes.  Each validator wraps the same predicate in a ValidityReport
-that lists a rejected placement's over-occupied lines.  Every per-n
-cache holds O(n) entries, since the torus predicate also checks base
-boards of 65 537 squares.
+passes.  is_toroidal first applies the classical test to each family's
+integer indices, since equal integers have equal residues; most
+permutations fail it, and a survivor's n distinct integers share a
+residue only when two of them differ by exactly n.  Each validator
+wraps the same predicate in a ValidityReport that lists a rejected
+placement's over-occupied lines.  The one per-n cache, the column set,
+holds n entries, since boards of 65 537 squares are checked too.
 """
 
 from __future__ import annotations
@@ -118,12 +121,6 @@ def _columns(n: int) -> frozenset[int]:
     return frozenset(range(n))
 
 
-@lru_cache(maxsize=32)
-def _wrap(n: int):
-    """Residue mod n of every integer in -(n-1) .. 2n-2, by list lookup."""
-    return (list(range(n)) * 2).__getitem__
-
-
 def _violations(p: tuple[int, ...], wrap=int) -> tuple[Violation, ...]:
     """Every over-occupied diagonal of ``p``, sorted by (kind, index); ``wrap``
     maps a diagonal's integer index to its line (the identity by default)."""
@@ -141,15 +138,20 @@ def is_toroidal(config: QueensConfig) -> bool:
 
     Rows and columns are already guaranteed by the permutation invariant,
     so only the residues of ``x + y`` and ``x - y`` mod n can repeat.
+    Equal integers have equal residues, so a family whose integer indices
+    repeat is refused before any residue is compared.  The n distinct
+    integers of a family lie in a window narrower than 2n, so two of them
+    share a residue exactly when they differ by n.
     """
     p = config.p
     n = len(p)
     rows = range(n)
-    wrap = _wrap(n)
-    return (
-        len(set(map(wrap, map(add, p, rows)))) == n
-        and len(set(map(wrap, map(sub, p, rows)))) == n
-    )
+    shifted = n.__add__
+    plus = set(map(add, p, rows))
+    if len(plus) < n or not plus.isdisjoint(map(shifted, plus)):
+        return False
+    minus = set(map(sub, p, rows))
+    return len(minus) == n and minus.isdisjoint(map(shifted, minus))
 
 
 def is_classical(config: QueensConfig) -> bool:
@@ -168,7 +170,7 @@ def validate_toroidal(config: QueensConfig) -> ValidityReport:
     """is_toroidal, with the repeated residues mod n as violations."""
     if is_toroidal(config):
         return _VALID
-    return ValidityReport(False, _violations(config.p, _wrap(config.n)))
+    return ValidityReport(False, _violations(config.p, config.n.__rmod__))
 
 
 def validate_classical(config: QueensConfig) -> ValidityReport:

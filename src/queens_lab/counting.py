@@ -13,7 +13,8 @@ the n! permutations for any set of modes, building each permutation once
 as a checked QueensConfig (positionally, through the same
 ``__post_init__`` checks as every construction) and handing it to every
 mode's core predicate (looked up per call); oracle_count is that pass
-for one mode.
+for one mode.  The pass is driven from C by ``map``, ``tee`` and ``zip``
+into a Counter of verdict tuples, with no per-board Python loop.
 
 The search is reduced by symmetry.  The mirror x -> n - 1 - x maps
 classical solutions onto classical ones, and the maps x -> +-x + c map
@@ -41,8 +42,9 @@ through the symmetry, as the weighted sum of the searched subtrees.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice, permutations, repeat
+from itertools import chain, islice, permutations, repeat, tee
 from typing import Iterator
 
 from . import core
@@ -242,19 +244,26 @@ def oracle_counts(n: int, modes: tuple[str, ...]) -> tuple[CountResult, ...]:
     """Independent slow counts, one per mode: filter all n! permutations
     through the core predicates in one pass, each permutation built once
     as a checked QueensConfig and handed to every mode's predicate.
-    Capped at the "oracle" entry of ``CAPS``."""
+
+    The pass runs from C: ``tee`` hands each board to one ``map`` per
+    predicate, and ``zip`` draws one verdict from each before the next
+    board is built, so the boards held at once are bounded by tee's
+    buffer, not by n!.  The Counter of verdict tuples gives the number of
+    boards checked and, per mode, the number it accepted.  Capped at the
+    "oracle" entry of ``CAPS``.
+    """
     for mode in modes:
         _check_mode(mode)
     _check_size(n, "oracle")
     # Looked up per call, so a replaced core predicate is the one used.
-    predicates = [(i, getattr(core, f"is_{mode}")) for i, mode in enumerate(modes)]
-    counts = [0] * len(modes)
-    for checked, perm in enumerate(permutations(range(n)), 1):
-        config = QueensConfig(n, perm)
-        for i, valid in predicates:
-            if valid(config):
-                counts[i] += 1
-    return tuple(CountResult(n, mode, c, checked) for mode, c in zip(modes, counts))
+    predicates = [getattr(core, f"is_{mode}") for mode in modes]
+    configs = map(QueensConfig, repeat(n), permutations(range(n)))
+    verdicts = Counter(zip(*map(map, predicates, tee(configs, len(predicates)))))
+    checked = verdicts.total()
+    return tuple(
+        CountResult(n, mode, sum(c for key, c in verdicts.items() if key[i]), checked)
+        for i, mode in enumerate(modes)
+    )
 
 
 def oracle_count(n: int, mode: str) -> CountResult:

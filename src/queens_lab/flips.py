@@ -18,11 +18,11 @@ As m^2 = n - 1, m^-1 = n - m (mod n): column x's base queen is in row (n - m) x.
 
 One scan of the unoccupied squares, column by column, meets the flips in
 canonical-id order.  ``enumerate_flips`` lists everything it yields, and
-refuses more flips than the "edges" cap before it starts; unseeded selection
-marks the rows of each flip it keeps, so the scan yields only flips
-disjoint from those.  Seeded selection draws uniform unoccupied squares:
-every flip owns exactly four of them, so each accepted draw is uniform
-over the flips still available.
+refuses more flips than the "edges" cap before it starts; both selections
+mark the rows of each flip they keep in one ``used`` bytearray, so the
+scan yields only flips disjoint from those.  Seeded selection draws
+uniform unoccupied squares: every flip owns exactly four of them, so each
+accepted draw is uniform over the flips still available.
 """
 
 from __future__ import annotations
@@ -232,9 +232,9 @@ def greedy_disjoint_flips(params: BaseParams, t: int, seed: int | None = None) -
     Each flip owns exactly four unoccupied squares, so every kept flip is
     uniform over the disjoint flips still available: the distribution of a
     greedy scan over a seeded shuffle of all flips.  After n rejections in
-    a row the remaining disjoint flips are enumerated, shuffled with the
-    same generator and scanned, so exhaustion reports the true greedy
-    count (and a board too large to enumerate raises SizeLimitError).
+    a row the flips still disjoint from those kept are listed by the
+    square scan, shuffled with the same generator and scanned, so
+    exhaustion reports the true greedy count at every k.
 
     Each flip rules out at most 4(n-1) others, so t = floor(n/16) always
     succeeds; larger t may exhaust the pass and raises with the count
@@ -274,7 +274,7 @@ def _sampled_disjoint(params: BaseParams, t: int, rng: random.Random) -> list[Fl
     n, m = params.n, params.m
     inv = mod_inverse(m + 1, n)
     chosen: list[Flip] = []
-    used: set[int] = set()
+    used = bytearray(n)
     misses = 0
     while len(chosen) < t and misses < n:
         y = rng.randrange(n)
@@ -282,22 +282,24 @@ def _sampled_disjoint(params: BaseParams, t: int, rng: random.Random) -> list[Fl
         if x >= m * y % n:
             x += 1  # skip the base queen's column
         y1 = (n - m) * x % n
-        rows = {y1, y, inv * (m * y + y1) % n, inv * (m * y1 + y) % n}
-        if used & rows:
+        rows = (y1, y, inv * (m * y + y1) % n, inv * (m * y1 + y) % n)
+        if any(used[row] for row in rows):
             misses += 1
             continue
         misses = 0
         chosen.append(_flip_from_pair(params, inv, y1, y))
-        used |= rows
+        for row in rows:
+            used[row] = 1
     if len(chosen) < t:
-        rest = [f for f in enumerate_flips(params) if not (used & f.rows)]
+        rest = list(_free_flips(params, used))
         rng.shuffle(rest)
         for flip in rest:
             if len(chosen) == t:
                 break
-            if not (used & flip.rows):
+            if not any(used[row] for row in flip.rows):
                 chosen.append(flip)
-                used |= flip.rows
+                for row in flip.rows:
+                    used[row] = 1
     return chosen
 
 

@@ -202,6 +202,54 @@ def test_agrees_with_pairwise_checker_on_random_permutations():
             assert validate_toroidal(config).is_valid == naive_toroidal_valid(p)
 
 
+def _literal_toroidal(p):
+    n = len(p)
+    return (
+        len({(x + y) % n for y, x in enumerate(p)}) == n
+        and len({(x - y) % n for y, x in enumerate(p)}) == n
+    )
+
+
+def _pre_check_boards():
+    """Boards for the integer pre-check of is_toroidal: all of n <= 8,
+    seeded random ones for n = 9 .. 101, the classical solutions at
+    n = 8 (integer-distinct diagonals that may collide as residues), and
+    toroidal solutions from the construction."""
+    from itertools import permutations
+
+    from queens_lab.construction import BaseParams, build_base_config
+    from queens_lab.counting import enumerate_solutions
+    from queens_lab.flips import FlipSet, apply_flips, enumerate_flips
+
+    for n in range(1, 9):
+        yield from permutations(range(n))
+    rng = random.Random(16)
+    for n in range(9, 102):
+        for _ in range(200):
+            yield tuple(rng.sample(range(n), n))
+    classical = enumerate_solutions(8, "classical")
+    assert len(classical) == 92
+    yield from (config.p for config in classical)
+    for k in range(1, 5):
+        yield build_base_config(k).p
+    base = build_base_config(2)
+    single = enumerate_flips(BaseParams.from_k(2))
+    assert len(single) == 68
+    yield from (apply_flips(base, FlipSet((flip,))).p for flip in single)
+
+
+def test_toroidal_pre_check_matches_the_residue_definition():
+    handed_on = accepted = 0
+    for p in _pre_check_boards():
+        verdict = _literal_toroidal(p)
+        assert is_toroidal(cfg(p)) == verdict, p
+        # Boards whose integer diagonals are distinct pass the pre-check
+        # and are decided by their residues.
+        handed_on += naive_classical_valid(p) and not verdict
+        accepted += verdict
+    assert handed_on >= 92 and accepted >= 4 + 68
+
+
 @pytest.mark.parametrize(
     "validator,toroidal", [(validate_classical, False), (validate_toroidal, True)]
 )

@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from queens_lab import counting
+from queens_lab import core, counting
 from queens_lab.core import QueensConfig, validate_classical, validate_toroidal
 from queens_lab.counting import (
     CountResult,
@@ -71,6 +71,39 @@ def test_oracle_checks_every_permutation_once(monkeypatch):
     results = oracle_counts(6, counting.MODES)
     assert built == list(permutations(range(6)))
     assert [(r.count, r.nodes_visited) for r in results] == [(4, 720), (0, 720)]
+
+
+def test_oracle_hands_every_board_to_every_predicate(monkeypatch):
+    checks = QueensConfig.__post_init__
+    built = []
+    seen = {"classical": [], "toroidal": []}
+
+    def counted(config):
+        built.append(config)
+        checks(config)
+
+    def recording(mode):
+        predicate = getattr(core, f"is_{mode}")
+
+        def record(config):
+            seen[mode].append(config)
+            return predicate(config)
+
+        return record
+
+    monkeypatch.setattr(QueensConfig, "__post_init__", counted)
+    for mode in seen:
+        monkeypatch.setattr(core, f"is_{mode}", recording(mode))
+    results = oracle_counts(6, ("toroidal", "classical"))
+    assert [c.p for c in built] == list(permutations(range(6)))
+    for configs in seen.values():
+        # The very boards built, one each, in permutations order.
+        assert len(configs) == len(built)
+        assert all(a is b for a, b in zip(configs, built))
+    assert [(r.mode, r.count, r.nodes_visited) for r in results] == [
+        ("toroidal", 0, 720),
+        ("classical", 4, 720),
+    ]
 
 
 def test_count_result_fields():

@@ -404,13 +404,31 @@ def test_enumeration_is_bounded_before_any_pair(monkeypatch):
     assert pairs == []
 
 
-def test_seeded_fallback_goes_through_the_enumeration_cap(monkeypatch):
+def test_seeded_fallback_ignores_the_enumeration_cap(monkeypatch):
+    # Both selections scan only the flips still free, so neither is bound
+    # by the cap on enumerating every flip at once.
     monkeypatch.setitem(errors.CAPS, "edges", 67)
     assert len(greedy_disjoint_flips(P2, 2, seed=0)) == 2
-    assert len(greedy_disjoint_flips(P2, 4)) == 4  # the unseeded scan never enumerates
+    assert len(greedy_disjoint_flips(P2, 4)) == 4
     # Seed 0 samples 3 of the n // 4 = 4 flips, then falls back.
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(GreedyExhaustionError) as info:
         greedy_disjoint_flips(P2, 4, seed=0)
+    assert (info.value.requested, info.value.achieved) == (4, 3)
+
+
+def test_seeded_exhaustion_above_the_enumeration_cap_reports_greedy_count(monkeypatch):
+    # k = 6 has 4 195 328 flips, over the "edges" cap, so the fallback
+    # must not enumerate them; n // 4 = 1 024 disjoint flips would need
+    # all but one row used, which the seeded greedy pass does not reach.
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_flips called")
+
+    monkeypatch.setattr(flips, "enumerate_flips", refuse)
+    params = BaseParams.from_k(6)
+    with pytest.raises(GreedyExhaustionError) as info:
+        greedy_disjoint_flips(params, params.n // 4, seed=0)
+    assert (info.value.requested, info.value.achieved) == (1024, 978)
+    assert len(greedy_disjoint_flips(params, 978, seed=0)) == 978
 
 
 @pytest.mark.parametrize("cap, code", [(68, 0), (67, 1)])

@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from .errors import QueensLabError
@@ -26,14 +25,6 @@ PROG = "queens-lab"
 # parser imports neither module; a test pins them equal.
 MODES = ("classical", "toroidal")
 LEVELS = ("quick", "full")
-
-
-@dataclass(frozen=True)
-class CommandResult:
-    command: str
-    params: dict[str, Any]
-    payload: Any
-    status: str
 
 
 def _read_input(path: str | None, parser) -> str:
@@ -138,9 +129,9 @@ def _run_construct(args, parser) -> Any:
 
 
 def _run_flips(args, parser) -> Any:
-    from .construction import capped_params
+    from .construction import BaseParams
 
-    params = capped_params(args.k)
+    params = BaseParams.from_k(args.k)
     n = params.n
     payload = {"k": args.k, "n": n, "count": n * (n - 1) // 4}
     if args.list:
@@ -151,10 +142,10 @@ def _run_flips(args, parser) -> Any:
 
 
 def _run_generate(args, parser) -> Any:
-    from .construction import build_base_config, capped_params
+    from .construction import BaseParams, build_base_config
     from .flips import apply_flips, greedy_disjoint_flips
 
-    params = capped_params(args.k)
+    params = BaseParams.from_k(args.k)
     flip_set = greedy_disjoint_flips(params, args.t, seed=args.seed)
     config = apply_flips(build_base_config(args.k), flip_set)
     return {
@@ -282,6 +273,8 @@ def _run_bounds(args, parser) -> Any:
             "bounds requires exactly one of --alpha, --torus-log, "
             "--classical-log, --dmatrix, --profile, --check-lemmas"
         )
+    if args.format == "csv" and args.dmatrix is None and not args.profile:
+        raise QueensLabError("csv format supported only for --dmatrix and --profile")
     from . import bounds
 
     if args.alpha:
@@ -333,67 +326,38 @@ _RUNNERS = {
 }
 
 
-def _render(command: str, payload: Any, fmt: str) -> str:
-    if fmt == "csv":
-        if command == "bounds" and isinstance(payload, dict) and "matrix" in payload:
-            return "\n".join(",".join(str(v) for v in row) for row in payload["matrix"]) + "\n"
-        if command == "bounds" and isinstance(payload, dict) and "profiles" in payload:
-            lines = ["row,by_three,by_two,by_one"]
-            lines.extend(
-                f"{p['row']},{p['by_three']},{p['by_two']},{p['by_one']}"
-                for p in payload["profiles"]
-            )
-            return "\n".join(lines) + "\n"
-        raise QueensLabError("csv format supported only for --dmatrix and --profile")
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def dispatch(argv: list[str]) -> CommandResult:
-    """Parse argv and run the command; domain errors become an error result."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    params = {k: v for k, v in sorted(vars(args).items()) if k != "command"}
-    try:
-        payload = _RUNNERS[args.command](args, parser)
-        status = "ok"
-    except QueensLabError as exc:
-        payload = {"code": exc.code, "message": str(exc)}
-        status = "error"
-    return CommandResult(
-        command=args.command,
-        params=params,
-        payload=payload,
-        status=status,
+def _render(payload: Any, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    if "matrix" in payload:
+        return "\n".join(",".join(str(v) for v in row) for row in payload["matrix"]) + "\n"
+    lines = ["row,by_three,by_two,by_one"]
+    lines.extend(
+        f"{p['row']},{p['by_three']},{p['by_two']},{p['by_one']}" for p in payload["profiles"]
     )
+    return "\n".join(lines) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    result = dispatch(argv)
-    if result.status == "error":
-        sys.stderr.write(json.dumps({"status": "error", **result.payload}) + "\n")
-        return 1
-    fmt = result.params.get("format", "json")
+    """Run one command; a payload whose "passed" is false exits 1, as a
+    domain error does."""
+    parser = _build_parser()
+    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        text = _render(result.command, result.payload, fmt)
+        payload = _RUNNERS[args.command](args, parser)
     except QueensLabError as exc:
         sys.stderr.write(json.dumps({"status": "error", "code": exc.code, "message": str(exc)}) + "\n")
         return 1
-    out = result.params.get("out")
-    if out:
+    text = _render(payload, getattr(args, "format", "json"))
+    if args.out:
         try:
-            with open(out, "w", encoding="utf-8") as handle:
+            with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
-            _build_parser().error(f"argument --out: can't write {out!r}: {exc}")
+            parser.error(f"argument --out: can't write {args.out!r}: {exc}")
     else:
         sys.stdout.write(text)
-    if result.command == "verify" and not result.payload["passed"]:
-        return 1
-    if result.command == "bounds" and isinstance(result.payload, dict) and result.payload.get("passed") is False:
-        return 1
-    return 0
+    return 1 if isinstance(payload, dict) and payload.get("passed") is False else 0
 
 
 if __name__ == "__main__":

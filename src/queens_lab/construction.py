@@ -5,6 +5,11 @@ since m^2 = -1 (mod n), the three multipliers m - 1, m, m + 1 are all
 units of Z_n, which makes rows, columns and both diagonal families
 bijective images of y.  This holds even when n is composite (k = 3 gives
 n = 65).
+
+``BaseParams.from_k`` is the one constructor of the parameters that the
+base board and its flips are built from (``from_board_size`` goes through
+it).  It refuses a board above the "board" cap, checking k before 4^k is
+computed, so an absurd k costs nothing.
 """
 
 from __future__ import annotations
@@ -18,18 +23,28 @@ from .errors import InvalidConfigError, NotInvertibleError, SizeLimitError, cap
 @dataclass(frozen=True)
 class BaseParams:
     """Parameters of the base configuration: k, the board size n = 4^k + 1,
-    and the row multiplier m = 2^k mod n."""
+    the row multiplier m = 2^k mod n and inv = (m + 1)^-1 mod n.  Build
+    them with ``from_k``."""
 
     k: int
     n: int
     m: int
+    inv: int
 
     @classmethod
     def from_k(cls, k: int) -> "BaseParams":
+        limit = cap("board")
         if k < 1:
             raise InvalidConfigError(f"k must be >= 1, got {k}")
+        # 4^k + 1 <= limit  <=>  2k <= floor(log2(limit - 1))
+        max_k = (max(limit - 1, 1).bit_length() - 1) // 2
+        if k > max_k:
+            raise SizeLimitError(
+                f"k = {k} exceeds cap {max_k} (board size 4^k + 1 must be <= {limit})"
+            )
         n = 4**k + 1
-        return cls(k=k, n=n, m=pow(2, k, n))
+        m = pow(2, k, n)
+        return cls(k=k, n=n, m=m, inv=mod_inverse(m + 1, n))
 
     @classmethod
     def from_board_size(cls, n: int) -> "BaseParams":
@@ -72,22 +87,7 @@ def check_units(params: BaseParams) -> bool:
     return True
 
 
-def capped_params(k: int) -> BaseParams:
-    """BaseParams for k, refused when its board n = 4^k + 1 exceeds the
-    "board" cap.  k is checked before 4^k is computed, so an absurd k
-    costs nothing.
-    """
-    limit = cap("board")
-    # 4^k + 1 <= limit  <=>  2k <= floor(log2(limit - 1))
-    max_k = (max(limit - 1, 1).bit_length() - 1) // 2
-    if k > max_k:
-        raise SizeLimitError(
-            f"k = {k} exceeds cap {max_k} (board size 4^k + 1 must be <= {limit})"
-        )
-    return BaseParams.from_k(k)
-
-
 def build_base_config(k: int) -> QueensConfig:
     """Build the base placement p[y] = 2^k * y mod n on the n = 4^k + 1 board."""
-    params = capped_params(k)
+    params = BaseParams.from_k(k)
     return QueensConfig(n=params.n, p=tuple((params.m * y) % params.n for y in range(params.n)))

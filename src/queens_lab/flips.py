@@ -15,6 +15,9 @@ exactly one flip.  Disjoint flips (sharing no removed queen) compose
 freely and the composition is reversible.
 
 As m^2 = n - 1, m^-1 = n - m (mod n): column x's base queen is in row (n - m) x.
+Every function here takes its k, n, m and (m + 1)^-1 from a ``BaseParams``,
+whose one constructor ``BaseParams.from_k`` refuses boards above the
+"board" cap.
 
 One scan of the unoccupied squares, column by column, meets the flips in
 canonical-id order.  ``enumerate_flips`` lists everything it yields, and
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
-from .construction import BaseParams, capped_params, mod_inverse
+from .construction import BaseParams
 from .core import QueensConfig, Square, is_toroidal
 from .errors import (
     FlipError,
@@ -93,15 +96,15 @@ class FlipSet:
 def companion_pair(params: BaseParams, y1: int, y2: int) -> tuple[int, int]:
     """Companion rows (y3, y4) for the pair (y1, y2); verifies the eight
     diagonal balance equations before returning."""
-    n, m = params.n, params.m
+    n = params.n
     if y1 % n == y2 % n:
         raise FlipError(f"companion pair requires distinct rows, got {y1} and {y2}")
-    return _companion_pair(params, mod_inverse(m + 1, n), y1, y2)
+    return _companion_pair(params, y1, y2)
 
 
-def _companion_pair(params: BaseParams, inv: int, y1: int, y2: int) -> tuple[int, int]:
-    """companion_pair for distinct rows, given inv = (m + 1)^-1 mod n."""
-    n, m = params.n, params.m
+def _companion_pair(params: BaseParams, y1: int, y2: int) -> tuple[int, int]:
+    """companion_pair for distinct rows."""
+    n, m, inv = params.n, params.m, params.inv
     y3 = (inv * (m * y2 + y1)) % n
     y4 = (inv * (m * y1 + y2)) % n
     _verify_balance(params, y1 % n, y2 % n, y3, y4)
@@ -129,9 +132,9 @@ def _verify_balance(params: BaseParams, y1: int, y2: int, y3: int, y4: int) -> N
         )
 
 
-def _flip_from_pair(params: BaseParams, inv: int, y1: int, y2: int) -> Flip:
+def _flip_from_pair(params: BaseParams, y1: int, y2: int) -> Flip:
     n, m = params.n, params.m
-    y3, y4 = _companion_pair(params, inv, y1, y2)
+    y3, y4 = _companion_pair(params, y1, y2)
     col = {y: (m * y) % n for y in (y1, y2, y3, y4)}
     removed = tuple(
         sorted((Square(col[y], y) for y in (y1, y2, y3, y4)), key=lambda s: s.y)
@@ -162,7 +165,7 @@ def flip_for_square(params: BaseParams, square: Square) -> Flip:
     y1 = (n - m) * x % n
     if y1 == y:
         raise FlipError(f"square {tuple(square)} is occupied in the base configuration")
-    flip = _flip_from_pair(params, mod_inverse(m + 1, n), y1, y)
+    flip = _flip_from_pair(params, y1, y)
     if square not in flip.added:
         raise InternalConsistencyError(f"flip for {tuple(square)} does not add it")
     return flip
@@ -195,8 +198,7 @@ def _free_flips(params: BaseParams, used: bytearray) -> Iterator[Flip]:
     when x is the least of them.  Every flip in column x removes the
     queen of row y1, so the column is left once that row is used.
     """
-    n, m = params.n, params.m
-    inv = mod_inverse(m + 1, n)
+    n, m, inv = params.n, params.m, params.inv
     a = inv * m % n
     for x in range(n):
         y1 = (n - m) * x % n
@@ -210,7 +212,7 @@ def _free_flips(params: BaseParams, used: bytearray) -> Iterator[Flip]:
             y4 = (inv * y + c) % n
             if used[y3] or used[y4] or m * y % n < x or m * y3 % n < x or m * y4 % n < x:
                 continue
-            yield _flip_from_pair(params, inv, y1, y)
+            yield _flip_from_pair(params, y1, y)
             if used[y1]:
                 break
 
@@ -271,8 +273,7 @@ def _first_disjoint(params: BaseParams, t: int) -> list[Flip]:
 
 def _sampled_disjoint(params: BaseParams, t: int, rng: random.Random) -> list[Flip]:
     """Up to t disjoint flips, each uniform over those still available."""
-    n, m = params.n, params.m
-    inv = mod_inverse(m + 1, n)
+    n, m, inv = params.n, params.m, params.inv
     chosen: list[Flip] = []
     used = bytearray(n)
     misses = 0
@@ -287,7 +288,7 @@ def _sampled_disjoint(params: BaseParams, t: int, rng: random.Random) -> list[Fl
             misses += 1
             continue
         misses = 0
-        chosen.append(_flip_from_pair(params, inv, y1, y))
+        chosen.append(_flip_from_pair(params, y1, y))
         for row in rows:
             used[row] = 1
     if len(chosen) < t:
@@ -305,7 +306,7 @@ def _sampled_disjoint(params: BaseParams, t: int, rng: random.Random) -> list[Fl
 
 def _require_base(base: QueensConfig) -> BaseParams:
     """Params of ``base``, checked in place to be the base placement."""
-    params = capped_params(BaseParams.from_board_size(base.n).k)
+    params = BaseParams.from_board_size(base.n)
     m, n = params.m, params.n
     if any(x != m * y % n for y, x in enumerate(base.p)):
         raise FlipError("flips are defined only over the base configuration")
@@ -313,15 +314,19 @@ def _require_base(base: QueensConfig) -> BaseParams:
 
 
 def apply_flips(base: QueensConfig, flip_set: FlipSet) -> QueensConfig:
-    """Apply a disjoint flip set to the base configuration."""
+    """Apply a disjoint flip set to the base configuration.
+
+    Each flip must be the one that ``flip_for_square`` gives for its
+    canonical id; any other ``Flip`` is refused with FlipError.
+    """
     params = _require_base(base)
     p = list(base.p)
     for flip in flip_set:
-        for square in flip.removed:
-            if base.p[square.y] != square.x:
-                raise FlipError(
-                    f"flip removes {tuple(square)} which is not a base queen"
-                )
+        if flip != flip_for_square(params, flip.canonical_id):
+            raise FlipError(
+                f"flip with canonical id {tuple(flip.canonical_id)} is not a flip "
+                "of the base configuration"
+            )
         for x, y in flip.added:
             p[y] = x
     result = QueensConfig(n=params.n, p=tuple(p))
@@ -374,14 +379,13 @@ def lower_bound_log_count(n: int) -> float:
     candidates; all factors are positive for this t.  Their product counts
     ordered sequences, and each unordered set of t flips arises from t!
     orders, so the product is divided by t!.  Only boards n = 4^k + 1
-    have flips: any other n >= 1 is refused with the InvalidConfigError
-    of ``BaseParams.from_board_size``, and a board above the cap of
-    ``capped_params`` with its SizeLimitError.  Returns 0.0 at n = 5 (no
-    steps).
+    have flips: ``BaseParams.from_board_size`` refuses any other n >= 1
+    with InvalidConfigError, and a board above the "board" cap with
+    SizeLimitError.  Returns 0.0 at n = 5 (no steps).
     """
     if n < 1:
         raise FlipError(f"n must be >= 1, got {n}")
-    capped_params(BaseParams.from_board_size(n).k)
+    BaseParams.from_board_size(n)
     t = n // 16
     if t == 0:
         return 0.0

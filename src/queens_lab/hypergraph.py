@@ -209,10 +209,10 @@ def build_flip_hg(k: int) -> Hypergraph:
     n = 4^k + 1 is never divisible by 4, so it has no perfect matching;
     it is kept as a regularity and codegree test case.
     """
-    from .construction import capped_params
+    from .construction import BaseParams
     from .flips import enumerate_flips
 
-    params = capped_params(k)
+    params = BaseParams.from_k(k)
     edges = tuple(tuple(sorted(f.rows)) for f in enumerate_flips(params))
     return Hypergraph(params.n, edges)
 

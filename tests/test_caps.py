@@ -9,7 +9,7 @@ import math
 import pytest
 
 from queens_lab import bounds, counting, errors, hypergraph, quadrature
-from queens_lab.construction import build_base_config, capped_params
+from queens_lab.construction import BaseParams, build_base_config
 from queens_lab.errors import QuadratureError, SearchBudgetError, SizeLimitError, cap
 
 
@@ -85,10 +85,10 @@ def test_dmatrix_cap():
 
 
 def test_board_cap(monkeypatch):
-    assert capped_params(8).n == 4**8 + 1
+    assert BaseParams.from_k(8).n == 4**8 + 1
     refusal = r"^k = 9 exceeds cap 8 \(board size 4\^k \+ 1 must be <= 65537\)$"
     with pytest.raises(SizeLimitError, match=refusal):
-        capped_params(9)
+        BaseParams.from_k(9)
     monkeypatch.setitem(errors.CAPS, "board", 17)
     assert build_base_config(2).n == 17
     monkeypatch.setitem(errors.CAPS, "board", 16)

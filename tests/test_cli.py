@@ -383,10 +383,20 @@ def test_bounds_check_lemmas(capsys):
     assert payload["solutions"] == 10
 
 
-def test_csv_rejected_elsewhere(capsys):
-    code, _, err = run(capsys, ["bounds", "--alpha", "--format", "csv"])
-    assert code == 1
-    assert "csv" in json.loads(err)["message"]
+def test_csv_rejected_elsewhere(capsys, monkeypatch):
+    from queens_lab import bounds
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the command ran before its --format was refused")
+
+    monkeypatch.setattr(bounds, "classical_alpha", unreachable)
+    code, out, err = run(capsys, ["bounds", "--alpha", "--format", "csv"])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "status": "error",
+        "code": "error",
+        "message": "csv format supported only for --dmatrix and --profile",
+    }
 
 
 def test_out_flag_writes_file(capsys, tmp_path):
@@ -444,13 +454,6 @@ def test_env_cap_reaches_cli(capsys, monkeypatch):
     code, _, err = run(capsys, ["count", "--n", "8", "--mode", "classical"])
     assert code == 1
     assert json.loads(err)["code"] == "size-limit"
-
-
-def test_dispatch_result_fields():
-    result = cli.dispatch(["construct", "--k", "1"])
-    assert result.command == "construct"
-    assert result.status == "ok"
-    assert result.params["k"] == 1
 
 
 def test_check_lemmas_above_cap_is_size_limit_error(capsys):

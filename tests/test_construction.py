@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from queens_lab.construction import (
     BaseParams,
     build_base_config,
-    capped_params,
     check_units,
     mod_inverse,
 )
@@ -46,7 +45,8 @@ def test_check_units(k):
 
 def test_base_params():
     params = BaseParams.from_k(3)
-    assert (params.n, params.m) == (65, 8)
+    assert (params.n, params.m, params.inv) == (65, 8, 29)
+    assert params.inv * (params.m + 1) % params.n == 1
     assert BaseParams.from_board_size(65) == params
     with pytest.raises(InvalidConfigError):
         BaseParams.from_board_size(9)
@@ -94,11 +94,35 @@ def test_env_cap_override(monkeypatch):
     assert build_base_config(2).n == 17
 
 
-def test_capped_params_limit_matches_board_size_cap(monkeypatch):
+def test_from_k_limit_matches_board_size_cap(monkeypatch):
     for cap in list(range(1, 300)) + [65536, 65537, 65538]:
         monkeypatch.setenv("QUEENS_LAB_CAP", str(cap))
         largest = max((k for k in range(10) if 4**k + 1 <= cap), default=0)
         if largest >= 1:
-            assert capped_params(largest).n <= cap
+            assert BaseParams.from_k(largest).n <= cap
         with pytest.raises(SizeLimitError, match=f"k = {largest + 1} "):
-            capped_params(largest + 1)
+            BaseParams.from_k(largest + 1)
+
+
+class _UnpoweredK(int):
+    """A k that fails the test if 4^k is ever computed from it."""
+
+    def __rpow__(self, base, modulus=None):
+        raise AssertionError(f"{base}^{int(self)} computed for a refused k")
+
+
+def test_board_cap_refuses_before_computing_4_to_the_k(monkeypatch):
+    refusals = [
+        (lambda: BaseParams.from_k(_UnpoweredK(9)), "k = 9 exceeds cap 8", 65537),
+        (lambda: BaseParams.from_board_size(4**9 + 1), "k = 9 exceeds cap 8", 65537),
+        (lambda: BaseParams.from_k(_UnpoweredK(10**9)), f"k = {10**9} exceeds cap 8", 65537),
+    ]
+    for build, head, limit in refusals:
+        with pytest.raises(SizeLimitError) as info:
+            build()
+        assert str(info.value) == f"{head} (board size 4^k + 1 must be <= {limit})"
+    monkeypatch.setenv("QUEENS_LAB_CAP", "65")
+    with pytest.raises(SizeLimitError) as info:
+        BaseParams.from_k(_UnpoweredK(4))
+    assert str(info.value) == "k = 4 exceeds cap 3 (board size 4^k + 1 must be <= 65)"
+    assert BaseParams.from_k(3).n == 65

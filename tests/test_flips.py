@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from queens_lab import cli, errors, flips
+from queens_lab import cli, construction, errors, flips
 from queens_lab.construction import BaseParams, build_base_config
 from queens_lab.core import QueensConfig, Square, validate_toroidal
 from queens_lab.errors import (
@@ -17,6 +17,7 @@ from queens_lab.errors import (
     SizeLimitError,
 )
 from queens_lab.flips import (
+    Flip,
     FlipSet,
     apply_flips,
     companion_pair,
@@ -193,6 +194,27 @@ def test_apply_example():
     assert modified.p == (2, 0, 3, 1, 4)
 
 
+@pytest.mark.parametrize(
+    "removed, added",
+    [
+        (None, ((0, 1), (2, 0), (3, 4), (4, 2))),  # two added columns swapped
+        (None, ((0, 1), (2, 0), (3, 2), (4, 5))),  # an added row off the board
+        (None, ((0, 7), (2, 0), (3, 2), (4, 4))),  # the canonical id off the board
+        (((0, 0), (2, 1), (1, 2), (3, 4)), None),  # a removed square not a base queen
+    ],
+)
+def test_apply_refuses_hand_made_flips(removed, added):
+    real = flip_for_square(P1, Square(0, 1))
+    fake = Flip(
+        removed=real.removed if removed is None else tuple(Square(*s) for s in removed),
+        added=real.added if added is None else tuple(Square(*s) for s in added),
+    )
+    assert fake != real
+    with pytest.raises(FlipError) as info:
+        apply_flips(build_base_config(1), FlipSet(flips=(fake,)))
+    assert type(info.value) is FlipError
+
+
 def test_apply_requires_base_configuration():
     other = QueensConfig(n=5, p=(0, 3, 1, 4, 2))  # multiplier-3 board, not the base
     assert validate_toroidal(other).is_valid
@@ -316,14 +338,15 @@ def test_canonical_ids_sorted_in_flipset():
 
 def test_enumerate_flips_inverts_m_plus_one_once(monkeypatch):
     calls = []
-    inverse = flips.mod_inverse
+    inverse = construction.mod_inverse
 
     def counted(a, n):
         calls.append((a, n))
         return inverse(a, n)
 
-    monkeypatch.setattr(flips, "mod_inverse", counted)
-    assert len(enumerate_flips(P2)) == 17 * 16 // 4
+    monkeypatch.setattr(construction, "mod_inverse", counted)
+    params = BaseParams.from_k(2)
+    assert len(enumerate_flips(params)) == 17 * 16 // 4
     assert calls == [(P2.m + 1, P2.n)]
 
 

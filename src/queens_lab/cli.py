@@ -116,7 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant suite")
     p.add_argument("--level", choices=LEVELS, default="quick")
-    p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--out", default=None)
 
     return parser
@@ -131,7 +130,7 @@ def _run_construct(args, parser) -> Any:
 def _run_flips(args, parser) -> Any:
     from .construction import BaseParams
 
-    params = BaseParams.from_k(args.k)
+    params = BaseParams(args.k)
     n = params.n
     payload = {"k": args.k, "n": n, "count": n * (n - 1) // 4}
     if args.list:
@@ -145,7 +144,7 @@ def _run_generate(args, parser) -> Any:
     from .construction import BaseParams, build_base_config
     from .flips import apply_flips, greedy_disjoint_flips
 
-    params = BaseParams.from_k(args.k)
+    params = BaseParams(args.k)
     flip_set = greedy_disjoint_flips(params, args.t, seed=args.seed)
     config = apply_flips(build_base_config(args.k), flip_set)
     return {
@@ -312,7 +311,7 @@ def _run_bounds(args, parser) -> Any:
 def _run_verify(args, parser) -> Any:
     from . import verify
 
-    return verify.run_verification_suite(args.level, threads=args.threads)
+    return verify.run_verification_suite(args.level)
 
 
 _RUNNERS = {

@@ -6,15 +6,16 @@ units of Z_n, which makes rows, columns and both diagonal families
 bijective images of y.  This holds even when n is composite (k = 3 gives
 n = 65).
 
-``BaseParams.from_k`` is the one constructor of the parameters that the
-base board and its flips are built from (``from_board_size`` goes through
-it).  It refuses a board above the "board" cap, checking k before 4^k is
-computed, so an absurd k costs nothing.
+``BaseParams(k)`` is the one constructor of the parameters that the base
+board and its flips are built from (``from_board_size`` goes through it):
+k is its only field set by the caller, and n, m and (m + 1)^-1 are
+derived from it.  It refuses a board above the "board" cap, checking k
+before 4^k is computed, so an absurd k costs nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import QueensConfig
 from .errors import InvalidConfigError, NotInvertibleError, SizeLimitError, cap
@@ -22,17 +23,17 @@ from .errors import InvalidConfigError, NotInvertibleError, SizeLimitError, cap
 
 @dataclass(frozen=True)
 class BaseParams:
-    """Parameters of the base configuration: k, the board size n = 4^k + 1,
-    the row multiplier m = 2^k mod n and inv = (m + 1)^-1 mod n.  Build
-    them with ``from_k``."""
+    """Parameters of the base configuration: k, and derived from it the
+    board size n = 4^k + 1, the row multiplier m = 2^k mod n and
+    inv = (m + 1)^-1 mod n."""
 
     k: int
-    n: int
-    m: int
-    inv: int
+    n: int = field(init=False)
+    m: int = field(init=False)
+    inv: int = field(init=False)
 
-    @classmethod
-    def from_k(cls, k: int) -> "BaseParams":
+    def __post_init__(self):
+        k = self.k
         limit = cap("board")
         if k < 1:
             raise InvalidConfigError(f"k must be >= 1, got {k}")
@@ -44,14 +45,16 @@ class BaseParams:
             )
         n = 4**k + 1
         m = pow(2, k, n)
-        return cls(k=k, n=n, m=m, inv=mod_inverse(m + 1, n))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "inv", mod_inverse(m + 1, n))
 
     @classmethod
     def from_board_size(cls, n: int) -> "BaseParams":
         """Recover k from n; fails unless n - 1 is a power of 4."""
         if n < 5 or (n - 1) & (n - 2) != 0 or (n - 1).bit_length() % 2 == 0:
             raise InvalidConfigError(f"board size {n} is not of the form 4^k + 1")
-        return cls.from_k(((n - 1).bit_length() - 1) // 2)
+        return cls(((n - 1).bit_length() - 1) // 2)
 
 
 def mod_inverse(a: int, n: int) -> int:
@@ -89,5 +92,5 @@ def check_units(params: BaseParams) -> bool:
 
 def build_base_config(k: int) -> QueensConfig:
     """Build the base placement p[y] = 2^k * y mod n on the n = 4^k + 1 board."""
-    params = BaseParams.from_k(k)
+    params = BaseParams(k)
     return QueensConfig(n=params.n, p=tuple((params.m * y) % params.n for y in range(params.n)))

@@ -26,10 +26,10 @@ lexicographic least, weighted by the orbit's size.  The classical board
 searches x0 < (n - 1) / 2, and on an odd board the middle column with
 x1 < (n - 1) / 2, each weighted by 2; the torus searches (0, a) with
 a <= n / 2, weighted by 2n, or n for a = n / 2.  One ordered task list
-serves the serial loop, the process pool that the optional ``threads``
-argument fans the tasks (~n^2 / 2 classical, ~n / 2 toroidal) out to,
-and enumerate_solutions, which rebuilds the other solutions as images of
-the searched ones.  Counts are weighted commutative sums and do not
+serves the serial loop, the process pool that the counters' optional
+``threads`` argument fans the tasks (~n^2 / 2 classical, ~n / 2
+toroidal) out to, and enumerate_solutions, which runs in-process and
+rebuilds the other solutions as images of the searched ones.  Counts are weighted commutative sums and do not
 depend on the worker count.  The pool class is imported on the first
 fan-out, so a single-worker process never loads concurrent.futures or
 multiprocessing.
@@ -44,7 +44,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice, permutations, repeat, tee
+from itertools import chain, permutations, repeat, tee
 from typing import Iterator
 
 from . import core
@@ -74,10 +74,6 @@ def _check_size(n: int, entry: str) -> None:
     if n < 1:
         raise InvalidConfigError(f"board size must be >= 1, got {n}")
     check_cap(entry, n, f"board size {n}")
-
-
-class _LimitReached(Exception):
-    """Unwinds an enumeration once it has recorded ``limit`` solutions."""
 
 
 def _attacks(n: int, toroidal: bool, prefix: tuple[int, ...]) -> tuple[int, int, int]:
@@ -137,14 +133,12 @@ def _subtree(
     toroidal: bool,
     prefix: tuple[int, ...],
     out: list[tuple[int, ...]] | None = None,
-    limit: int | None = None,
 ) -> tuple[int, int]:
     """Count the solutions whose first rows hold the legal placement
     ``prefix``, as (count, nodes below the first row); each prefix row
     after the first is one of those nodes.
 
-    When ``out`` is given, each solution's p is also appended to it; the
-    search raises _LimitReached once ``out`` holds ``limit`` of them.
+    When ``out`` is given, each solution's p is also appended to it.
     """
     full = (1 << n) - 1
     rows = [1 << x for x in prefix] + [0] * (n - len(prefix))
@@ -158,8 +152,6 @@ def _subtree(
         if y == n:
             if out is not None:
                 out.append(tuple(r.bit_length() - 1 for r in rows))
-                if len(out) == limit:
-                    raise _LimitReached
             return 1
         if toroidal:
             up |= up >> n
@@ -271,23 +263,12 @@ def oracle_count(n: int, mode: str) -> CountResult:
     return oracle_counts(n, (mode,))[0]
 
 
-def enumerate_solutions(
-    n: int, mode: str, limit: int | None = None
-) -> list[QueensConfig]:
-    """All solutions in lexicographic order of p, optionally truncated."""
+def enumerate_solutions(n: int, mode: str) -> list[QueensConfig]:
+    """All solutions in lexicographic order of p."""
     _check_mode(mode)
     _check_size(n, "count")
-    if limit is not None and limit < 0:
-        raise InvalidConfigError(f"limit must be >= 0, got {limit}")
-    if limit == 0:
-        return []
     toroidal = mode == "toroidal"
     found: list[tuple[int, ...]] = []
-    try:
-        for prefix, _ in _tasks(n, toroidal):
-            _subtree(n, toroidal, prefix, found, limit)
-    except _LimitReached:
-        pass
-    rest = None if limit is None else limit - len(found)
-    images = islice(_images(n, toroidal, found), rest)
-    return [QueensConfig(n=n, p=p) for p in chain(found, images)]
+    for prefix, _ in _tasks(n, toroidal):
+        _subtree(n, toroidal, prefix, found)
+    return [QueensConfig(n=n, p=p) for p in chain(found, _images(n, toroidal, found))]

@@ -41,13 +41,21 @@ CAPS = {
     "dmatrix": 512,  # side of the exposure matrix: 262 144 entries, ~50 MiB
     "board": 4**8 + 1,  # board size 4^k + 1 of the construction and its flips
     "edges": 10**6,  # hypergraph edges or vertices, and flips enumerated at once
+    # vertex-edge incidences of a Steiner build, vertex pairs within edges
+    # tallied by hypergraph stats: 6 * 10^6 for the torus at the edge cap
+    "incidences": 10**7,
     "table_bits": 2**30,  # perfect-matching search tables, 128 MiB
     "nodes": 5 * 10**7,  # node budget of count_perfect_matchings
     "evals": 2_000_000,  # evaluation budget of one adaptive_simpson call
 }
 _ENV_CAP = "QUEENS_LAB_CAP"
 # How a SizeLimitError names a cap, where not as plain "cap".
-_CAP_NAMES = {"lemma": "lemma-check cap", "dmatrix": "exposure-matrix cap", "edges": "the edge cap"}
+_CAP_NAMES = {
+    "lemma": "lemma-check cap",
+    "dmatrix": "exposure-matrix cap",
+    "edges": "the edge cap",
+    "incidences": "the incidence cap",
+}
 
 
 def cap(name: str) -> int:

@@ -16,8 +16,8 @@ freely and the composition is reversible.
 
 As m^2 = n - 1, m^-1 = n - m (mod n): column x's base queen is in row (n - m) x.
 Every function here takes its k, n, m and (m + 1)^-1 from a ``BaseParams``,
-whose one constructor ``BaseParams.from_k`` refuses boards above the
-"board" cap.
+whose one constructor ``BaseParams(k)`` derives n, m and (m + 1)^-1 from k
+and refuses boards above the "board" cap.
 
 One scan of the unoccupied squares, column by column, meets the flips in
 canonical-id order.  ``enumerate_flips`` lists everything it yields, and

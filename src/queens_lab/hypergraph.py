@@ -32,7 +32,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, repeat
-from math import gcd, log
+from math import comb, gcd, log
 from typing import NamedTuple
 
 from .errors import (
@@ -97,7 +97,6 @@ class HypergraphStats:
     is_regular: bool
     k: int | None
     max_codegree: int
-    edge_sizes: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -188,11 +187,16 @@ def build_sudoku_hg(b: int) -> Hypergraph:
 def build_steiner_aux_hg(n: int, q: int, r: int) -> Hypergraph:
     """Auxiliary hypergraph whose perfect matchings are the
     (n, q, r)-Steiner systems: r-subsets as vertices, one edge per
-    q-subset bundling all its r-subsets."""
+    q-subset bundling all its r-subsets, comb(n, q) * comb(q, r)
+    incidences in all."""
     if not 0 < r < q < n:
         raise InvalidHypergraphError(f"need 0 < r < q < n, got ({n}, {q}, {r})")
     for size in (r, q):
         check_cap("edges", _capped_comb(n, size, cap("edges")), f"({n},{q},{r})")
+    # Both binomials are within the edge cap now, and comb(q, r) <= comb(n, r),
+    # so these two are cheap to compute exactly.
+    incidences = comb(n, q) * comb(q, r)
+    check_cap("incidences", incidences, f"({n},{q},{r}) with {incidences} incidences")
     r_sets = list(combinations(range(n), r))
     index = {s: i for i, s in enumerate(r_sets)}
     edges = []
@@ -212,15 +216,22 @@ def build_flip_hg(k: int) -> Hypergraph:
     from .construction import BaseParams
     from .flips import enumerate_flips
 
-    params = BaseParams.from_k(k)
+    params = BaseParams(k)
     edges = tuple(tuple(sorted(f.rows)) for f in enumerate_flips(params))
     return Hypergraph(params.n, edges)
 
 
 def stats(hg: Hypergraph) -> HypergraphStats:
-    """Exact uniformity, regularity, degree and maximum codegree."""
-    sizes = tuple(sorted({len(e) for e in hg.edges}))
-    d = sizes[0] if len(sizes) == 1 else None
+    """Exact uniformity, regularity, degree and maximum codegree.
+
+    The codegrees are tallied over every vertex pair within an edge,
+    sum C(|e|, 2) pairs, so that sum is checked against the "incidences"
+    cap before any is tallied.
+    """
+    sizes = {len(e) for e in hg.edges}
+    pairs = sum(size * (size - 1) // 2 for size in map(len, hg.edges))
+    check_cap("incidences", pairs, f"hypergraph stats over {pairs} codegree pairs")
+    d = min(sizes) if len(sizes) == 1 else None
     degrees = [0] * hg.num_vertices
     codegree: Counter[tuple[int, int]] = Counter()
     for e in hg.edges:
@@ -237,7 +248,6 @@ def stats(hg: Hypergraph) -> HypergraphStats:
         is_regular=is_regular,
         k=distinct.pop() if is_regular else None,
         max_codegree=max(codegree.values(), default=0),
-        edge_sizes=sizes,
     )
 
 
@@ -317,7 +327,12 @@ def _cover_search(
     tables: _CoverTables, cover: int, alive: int, budget: int
 ) -> tuple[int, int]:
     """Count the exact covers of the vertices outside ``cover`` by the
-    edges of ``alive``, as (count, nodes); every edge tried is a node."""
+    edges of ``alive``, as (count, nodes); every edge tried is a node.
+
+    Branches on the uncovered vertex with the fewest alive edges, the
+    lowest id on ties (Knuth's column choice), so the search tree, and
+    with it the node count, does not depend on edge order.
+    """
     full, masks, incident, conflict = tables
     nodes = 0
 
@@ -338,20 +353,6 @@ def _cover_search(
         return total
 
     return rec(cover, alive), nodes
-
-
-def _count_cover(
-    num_vertices: int, masks: list[int], start: int, budget: int
-) -> tuple[int, int]:
-    """Count exact covers extending the partial cover ``start``.
-
-    Branches on the uncovered vertex with the fewest edges left that miss
-    every covered vertex, the lowest id on ties (Knuth's column choice),
-    so the search tree, and with it the node count, does not depend on
-    edge order.
-    """
-    alive = sum(1 << i for i, m in enumerate(masks) if not m & start)
-    return _cover_search(_cover_tables(num_vertices, masks), start, alive, budget)
 
 
 def _pm_subtree(

@@ -3,9 +3,11 @@
 ``quick`` keeps board sizes at n <= 7 and flip parameters at k <= 2;
 ``full`` raises them to n <= 9 / k <= 3 and adds the order-4 Sudoku
 matching count.  The report contains only exact values and booleans
-(no timings), so repeated runs are byte-identical regardless of the
-worker count.  Each fixture (fast count, base board, flip list,
-hypergraph) is built once and released with the section that reads it.
+(no timings), so repeated runs are byte-identical.  The suite runs in
+one process: its counts are small, and a process pool per count would
+cost more to start than it saves.  Each fixture (fast count, base
+board, flip list, hypergraph) is built once and released with the
+section that reads it.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ def _board_checks(bases: dict, full: bool) -> list[dict]:
             for y1 in range(n)
             for y2 in range(n)
         )
-        all_flips = flips.enumerate_flips(BaseParams.from_k(k))
+        all_flips = flips.enumerate_flips(BaseParams(k))
         counts.append((k, n * (n - 1) // 4, len(all_flips)))
         tried = all_flips if k <= 2 else random.Random(0).sample(all_flips, 100)
         boards = [flips.apply_flips(base, flips.FlipSet(flips=(f,))) for f in tried]
@@ -116,7 +118,7 @@ def _board_checks(bases: dict, full: bool) -> list[dict]:
 
     k_round = max(bases)
     base = bases[k_round]
-    params = BaseParams.from_k(k_round)
+    params = BaseParams(k_round)
     t = params.n // 16
     round_trip = True
     for seed in range(10):
@@ -126,7 +128,7 @@ def _board_checks(bases: dict, full: bool) -> list[dict]:
             round_trip = False
             break
 
-    units = {k: check_units(BaseParams.from_k(k)) for k in range(1, 7)}
+    units = {k: check_units(BaseParams(k)) for k in range(1, 7)}
     sizes = [17, 65] if not full else [17, 65, 257]
     lb = {n: flips.lower_bound_log_count(n) for n in sizes}
     return [
@@ -158,10 +160,10 @@ def _board_checks(bases: dict, full: bool) -> list[dict]:
     ]
 
 
-def _hypergraph_checks(full: bool, threads: int, fast_t: dict) -> list[dict]:
+def _hypergraph_checks(full: bool, fast_t: dict) -> list[dict]:
     pm_sizes = range(1, 9) if full else range(1, 6)
     tori = {n: hypergraph.build_torus_queens_hg(n) for n in pm_sizes}
-    pm = {n: hypergraph.count_perfect_matchings(tori[n], threads=threads) for n in pm_sizes}
+    pm = {n: hypergraph.count_perfect_matchings(tori[n]) for n in pm_sizes}
     hgs = {
         "torus-5": tori[5],
         "transversal-3": hypergraph.build_transversal_hg(hypergraph.cyclic_latin_square(3)),
@@ -197,7 +199,7 @@ def _hypergraph_checks(full: bool, threads: int, fast_t: dict) -> list[dict]:
         ("flip-1", 0, count(hgs["flip-1"])),
     ]
     if full:
-        known.append(("sudoku-2", 288, count(hgs["sudoku-2"], threads=threads)))
+        known.append(("sudoku-2", 288, count(hgs["sudoku-2"])))
 
     hg5 = hgs["torus-5"]
     reference = pm[5]
@@ -305,7 +307,7 @@ def _bounds_checks(full: bool) -> list[dict]:
     return checks
 
 
-def run_verification_suite(level: str = "quick", threads: int = 1) -> dict:
+def run_verification_suite(level: str = "quick") -> dict:
     """Run every invariant check; returns a deterministic JSON-able report."""
     if level not in LEVELS:
         raise InvalidConfigError(f"level must be one of {LEVELS}, got {level!r}")
@@ -315,13 +317,13 @@ def run_verification_suite(level: str = "quick", threads: int = 1) -> dict:
     polya_max = 12 if full else 7
 
     sizes = range(1, polya_max + 1)
-    fast_c = {n: counting.count_classical(n, threads=threads).count for n in sizes}
-    fast_t = {n: counting.count_toroidal(n, threads=threads).count for n in sizes}
+    fast_c = {n: counting.count_classical(n).count for n in sizes}
+    fast_t = {n: counting.count_toroidal(n).count for n in sizes}
     bases = {k: build_base_config(k) for k in range(1, k_max + 1)}
     checks: list[dict] = []
     checks.extend(_counting_checks(n_max, fast_c, fast_t))
     checks.extend(_board_checks(bases, full))
-    checks.extend(_hypergraph_checks(full, threads, fast_t))
+    checks.extend(_hypergraph_checks(full, fast_t))
     checks.extend(_bounds_checks(full))
 
     configs = [bases[1], bases[2], *counting.enumerate_solutions(5, "toroidal")]

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, permutations
 
+from queens_lab import hypergraph
 from queens_lab.core import Square
 from queens_lab.errors import InvalidConfigError
 from queens_lab.flips import Flip
@@ -272,3 +273,10 @@ def recording_pool(sizes: list):
             return map(fn, *iterables)
 
     return Pool
+
+
+def cover_count(num_vertices: int, masks: list[int]) -> tuple[int, int]:
+    """(count, nodes) of the package's serial exact-cover search over all
+    the edges ``masks``, with a budget it never reaches."""
+    tables = hypergraph._cover_tables(num_vertices, masks)
+    return hypergraph._cover_search(tables, 0, (1 << len(masks)) - 1, 10**9)

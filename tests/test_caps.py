@@ -1,8 +1,8 @@
 """The cap table: every entry is accepted at its cap and refused at the cap
 plus one, and QUEENS_LAB_CAP overrides exactly the "count" and "board"
 entries.  Where reaching the real cap would take too long, the entry is
-shrunk in the table; the shrunk "edges" and "table_bits" entries are
-tested beside their builders in test_hypergraph.py."""
+shrunk in the table; the shrunk "edges", "table_bits" and "incidences"
+entries are tested beside their builders in test_hypergraph.py."""
 
 import math
 
@@ -11,6 +11,8 @@ import pytest
 from queens_lab import bounds, counting, errors, hypergraph, quadrature
 from queens_lab.construction import BaseParams, build_base_config
 from queens_lab.errors import QuadratureError, SearchBudgetError, SizeLimitError, cap
+
+from helpers import cover_count
 
 
 def test_table_entries():
@@ -21,6 +23,7 @@ def test_table_entries():
         "dmatrix": 512,
         "board": 4**8 + 1,
         "edges": 10**6,
+        "incidences": 10**7,
         "table_bits": 2**30,
         "nodes": 5 * 10**7,
         "evals": 2_000_000,
@@ -85,10 +88,10 @@ def test_dmatrix_cap():
 
 
 def test_board_cap(monkeypatch):
-    assert BaseParams.from_k(8).n == 4**8 + 1
+    assert BaseParams(8).n == 4**8 + 1
     refusal = r"^k = 9 exceeds cap 8 \(board size 4\^k \+ 1 must be <= 65537\)$"
     with pytest.raises(SizeLimitError, match=refusal):
-        BaseParams.from_k(9)
+        BaseParams(9)
     monkeypatch.setitem(errors.CAPS, "board", 17)
     assert build_base_config(2).n == 17
     monkeypatch.setitem(errors.CAPS, "board", 16)
@@ -117,7 +120,7 @@ def test_table_bits_cap():
 def test_nodes_cap_is_the_default_budget(monkeypatch):
     sudoku = hypergraph.build_sudoku_hg(2)
     masks = hypergraph._edge_masks(sudoku)
-    _, nodes = hypergraph._count_cover(sudoku.num_vertices, masks, 0, 10**9)
+    _, nodes = cover_count(sudoku.num_vertices, masks)
     monkeypatch.setitem(errors.CAPS, "nodes", nodes)
     assert hypergraph.count_perfect_matchings(sudoku) == 288
     monkeypatch.setitem(errors.CAPS, "nodes", nodes - 1)

@@ -64,7 +64,6 @@ def test_count_domain_error(capsys):
     [
         ["count", "--n", "8", "--mode", "classical"],
         ["hg", "--family", "torus", "--params", '{"n": 5}', "--count-pm"],
-        ["verify", "--level", "quick"],
     ],
 )
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -73,6 +72,13 @@ def test_threads_below_one_is_usage_error(capsys, argv, threads):
         cli.main(argv + ["--threads", threads])
     assert info.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+def test_verify_takes_no_threads(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--level", "quick", "--threads", "2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -40,18 +40,28 @@ def test_mod_inverse_property(a, n):
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_check_units(k):
-    assert check_units(BaseParams.from_k(k))
+    assert check_units(BaseParams(k))
 
 
 def test_base_params():
-    params = BaseParams.from_k(3)
+    params = BaseParams(3)
     assert (params.n, params.m, params.inv) == (65, 8, 29)
     assert params.inv * (params.m + 1) % params.n == 1
     assert BaseParams.from_board_size(65) == params
     with pytest.raises(InvalidConfigError):
         BaseParams.from_board_size(9)
     with pytest.raises(InvalidConfigError):
-        BaseParams.from_k(0)
+        BaseParams(0)
+
+
+def test_k_is_the_only_field_a_caller_sets():
+    n, m = 4**9 + 1, 2**9
+    with pytest.raises(TypeError):
+        BaseParams(k=9, n=n, m=m, inv=mod_inverse(m + 1, n))
+    with pytest.raises(TypeError):
+        BaseParams(3, 65, 8, 29)
+    with pytest.raises(SizeLimitError, match=r"^k = 9 exceeds cap 8 "):
+        BaseParams(9)
 
 
 def test_base_config_k1():
@@ -99,9 +109,9 @@ def test_from_k_limit_matches_board_size_cap(monkeypatch):
         monkeypatch.setenv("QUEENS_LAB_CAP", str(cap))
         largest = max((k for k in range(10) if 4**k + 1 <= cap), default=0)
         if largest >= 1:
-            assert BaseParams.from_k(largest).n <= cap
+            assert BaseParams(largest).n <= cap
         with pytest.raises(SizeLimitError, match=f"k = {largest + 1} "):
-            BaseParams.from_k(largest + 1)
+            BaseParams(largest + 1)
 
 
 class _UnpoweredK(int):
@@ -113,9 +123,9 @@ class _UnpoweredK(int):
 
 def test_board_cap_refuses_before_computing_4_to_the_k(monkeypatch):
     refusals = [
-        (lambda: BaseParams.from_k(_UnpoweredK(9)), "k = 9 exceeds cap 8", 65537),
+        (lambda: BaseParams(_UnpoweredK(9)), "k = 9 exceeds cap 8", 65537),
         (lambda: BaseParams.from_board_size(4**9 + 1), "k = 9 exceeds cap 8", 65537),
-        (lambda: BaseParams.from_k(_UnpoweredK(10**9)), f"k = {10**9} exceeds cap 8", 65537),
+        (lambda: BaseParams(_UnpoweredK(10**9)), f"k = {10**9} exceeds cap 8", 65537),
     ]
     for build, head, limit in refusals:
         with pytest.raises(SizeLimitError) as info:
@@ -123,6 +133,6 @@ def test_board_cap_refuses_before_computing_4_to_the_k(monkeypatch):
         assert str(info.value) == f"{head} (board size 4^k + 1 must be <= {limit})"
     monkeypatch.setenv("QUEENS_LAB_CAP", "65")
     with pytest.raises(SizeLimitError) as info:
-        BaseParams.from_k(_UnpoweredK(4))
+        BaseParams(_UnpoweredK(4))
     assert str(info.value) == "k = 4 exceeds cap 3 (board size 4^k + 1 must be <= 65)"
-    assert BaseParams.from_k(3).n == 65
+    assert BaseParams(3).n == 65

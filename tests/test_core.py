@@ -233,7 +233,7 @@ def _pre_check_boards():
     for k in range(1, 5):
         yield build_base_config(k).p
     base = build_base_config(2)
-    single = enumerate_flips(BaseParams.from_k(2))
+    single = enumerate_flips(BaseParams(2))
     assert len(single) == 68
     yield from (apply_flips(base, FlipSet((flip,))).p for flip in single)
 

@@ -172,11 +172,8 @@ def test_enumerate_empty_when_no_solutions():
     assert enumerate_solutions(6, "toroidal") == []
 
 
-def test_enumerate_truncation():
-    five = enumerate_solutions(8, "classical", limit=5)
-    assert len(five) == 5
+def test_enumerate_classical_eight():
     full = enumerate_solutions(8, "classical")
-    assert full[:5] == five
     assert len(full) == 92
     for config in full:
         assert validate_classical(config).is_valid
@@ -186,12 +183,6 @@ def test_enumerate_matches_count():
     for n in range(1, 8):
         assert len(enumerate_solutions(n, "classical")) == count_classical(n).count
         assert len(enumerate_solutions(n, "toroidal")) == count_toroidal(n).count
-
-
-def test_enumerate_limit_zero():
-    assert enumerate_solutions(5, "toroidal", limit=0) == []
-    with pytest.raises(InvalidConfigError):
-        enumerate_solutions(5, "toroidal", limit=-1)
 
 
 # Search-tree sizes of the row-by-row DFS, n = 1..13: every legal
@@ -225,10 +216,8 @@ def test_enumerate_matches_permutation_filter(n, mode):
     assert [config.p for config in enumerate_solutions(n, mode)] == expected
 
 
-def test_enumerate_limit_on_torus_is_a_prefix():
-    full = enumerate_solutions(13, "toroidal")
-    assert len(full) == 4524
-    assert enumerate_solutions(13, "toroidal", limit=3) == full[:3]
+def test_enumerate_torus_thirteen():
+    assert len(enumerate_solutions(13, "toroidal")) == 4524
 
 
 def _second_rows(n, toroidal, x0):
@@ -296,32 +285,9 @@ def test_two_workers_give_the_serial_count_and_nodes(count, n):
     assert (pooled.count, pooled.nodes_visited) == (serial.count, serial.nodes_visited)
 
 
-# Limits just inside and past the edges of the searched and image blocks:
-# classical n = 8 searches p[0] < 4 (46 solutions), the rest are mirrored;
-# toroidal n = 7 searches p[:2] = (0, 2) and (0, 3) (2 solutions), then the
-# reflected boards complete the p[0] = 0 block (4 solutions) and
-# translations give the rest.
-@pytest.mark.parametrize(
-    "n, mode, limit",
-    [(8, "classical", 46), (8, "classical", 47), (8, "classical", 50),
-     (7, "toroidal", 1), (7, "toroidal", 2), (7, "toroidal", 3),
-     (7, "toroidal", 4), (7, "toroidal", 5), (7, "toroidal", 9)],
-)
-def test_enumerate_limit_across_symmetry_blocks(n, mode, limit):
-    valid = naive_toroidal_valid if mode == "toroidal" else naive_classical_valid
-    expected = [p for p in permutations(range(n)) if valid(p)]
-    assert [config.p for config in enumerate_solutions(n, mode, limit)] == expected[:limit]
-
-
-def test_enumerate_limit_around_the_odd_middle_column():
+def test_enumerate_odd_board_distinct_and_sorted():
     full = [config.p for config in enumerate_solutions(9, "classical")]
     assert len(set(full)) == 352 and full == sorted(full)
-    # The middle column searches p[1] < 4; its mirrored boards follow.
-    for edge in [(4,), (4, 5), (5,)]:
-        start = sum(1 for p in full if p[: len(edge)] < edge)
-        for limit in (start - 1, start, start + 1):
-            prefix = enumerate_solutions(9, "classical", limit)
-            assert [config.p for config in prefix] == full[:limit]
 
 
 def test_pool_size_is_clamped_to_tasks_and_cpus(monkeypatch):

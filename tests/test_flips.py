@@ -31,9 +31,9 @@ from queens_lab.flips import (
 
 from helpers import reference_flips, reference_greedy_scan
 
-P1 = BaseParams.from_k(1)
-P2 = BaseParams.from_k(2)
-P3 = BaseParams.from_k(3)
+P1 = BaseParams(1)
+P2 = BaseParams(2)
+P3 = BaseParams(3)
 
 
 def test_companion_pair_examples():
@@ -76,7 +76,7 @@ def test_flip_count_formula(params, expected):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_enumeration_matches_row_pair_reference(k):
-    params = BaseParams.from_k(k)
+    params = BaseParams(k)
     assert enumerate_flips(params) == reference_flips(params)
 
 
@@ -170,7 +170,7 @@ def test_more_flips_than_a_quarter_of_the_queens_are_refused_at_once(monkeypatch
 
     monkeypatch.setattr(flips, "_free_flips", refuse)
     monkeypatch.setattr(flips, "_flip_from_pair", refuse)
-    for params in (P1, P3, BaseParams.from_k(8)):
+    for params in (P1, P3, BaseParams(8)):
         with pytest.raises(FlipError, match="more than the") as info:
             greedy_disjoint_flips(params, params.n // 4 + 1, seed=seed)
         assert type(info.value) is FlipError
@@ -345,7 +345,7 @@ def test_enumerate_flips_inverts_m_plus_one_once(monkeypatch):
         return inverse(a, n)
 
     monkeypatch.setattr(construction, "mod_inverse", counted)
-    params = BaseParams.from_k(2)
+    params = BaseParams(2)
     assert len(enumerate_flips(params)) == 17 * 16 // 4
     assert calls == [(P2.m + 1, P2.n)]
 
@@ -400,7 +400,7 @@ def test_seeded_selection_at_k8_never_enumerates(monkeypatch):
         raise AssertionError("enumerate_flips called")
 
     monkeypatch.setattr(flips, "enumerate_flips", refuse)
-    params = BaseParams.from_k(8)
+    params = BaseParams(8)
     chosen = greedy_disjoint_flips(params, params.n // 16, seed=1)
     assert len(chosen) == 4096
     base = build_base_config(8)
@@ -447,7 +447,7 @@ def test_seeded_exhaustion_above_the_enumeration_cap_reports_greedy_count(monkey
         raise AssertionError("enumerate_flips called")
 
     monkeypatch.setattr(flips, "enumerate_flips", refuse)
-    params = BaseParams.from_k(6)
+    params = BaseParams(6)
     with pytest.raises(GreedyExhaustionError) as info:
         greedy_disjoint_flips(params, params.n // 4, seed=0)
     assert (info.value.requested, info.value.achieved) == (1024, 978)

@@ -31,6 +31,7 @@ from queens_lab.hypergraph import (
 
 from helpers import (
     brute_force_perfect_matchings,
+    cover_count,
     independent_sts_count,
     independent_sudoku_count,
     independent_transversal_count,
@@ -123,6 +124,39 @@ def test_steiner_size_is_refused_before_the_binomial():
     assert time.process_time() - start < 1.0
 
 
+def test_steiner_incidences_are_refused_before_the_build(monkeypatch):
+    # (20, 10, 5) passes both binomial checks (184 756 edges over 15 504
+    # vertices), but each edge bundles comb(10, 5) = 252 vertices.
+    start = time.process_time()
+    refusal = r"^\(20,10,5\) with 46558512 incidences exceeds the incidence cap 10000000$"
+    with pytest.raises(SizeLimitError, match=refusal):
+        build_steiner_aux_hg(20, 10, 5)
+    assert time.process_time() - start < 1.0
+    # (7, 3, 2): 35 edges of 3 vertices each.
+    monkeypatch.setitem(errors.CAPS, "incidences", 105)
+    assert len(build_steiner_aux_hg(7, 3, 2).edges) == 35
+    monkeypatch.setitem(errors.CAPS, "incidences", 104)
+    with pytest.raises(SizeLimitError, match=r"^\(7,3,2\) with 105 incidences exceeds"):
+        build_steiner_aux_hg(7, 3, 2)
+
+
+def test_stats_codegree_pairs_are_refused_before_the_tally(monkeypatch):
+    # One edge through 4 473 vertices holds comb(4473, 2) = 10 001 628 pairs.
+    wide = Hypergraph(4473, (tuple(range(4473)),))
+    start = time.process_time()
+    refusal = "^hypergraph stats over 10001628 codegree pairs exceeds the incidence cap 10000000$"
+    with pytest.raises(SizeLimitError, match=refusal):
+        stats(wide)
+    assert time.process_time() - start < 1.0
+    # Torus-5: 25 edges of 4 vertices, 6 pairs each.
+    torus = build_torus_queens_hg(5)
+    monkeypatch.setitem(errors.CAPS, "incidences", 150)
+    assert stats(torus).max_codegree == 1
+    monkeypatch.setitem(errors.CAPS, "incidences", 149)
+    with pytest.raises(SizeLimitError, match="^hypergraph stats over 150 codegree pairs exceeds"):
+        stats(torus)
+
+
 def test_capped_comb_is_exact_up_to_the_cap():
     for n in range(1, 25):
         for r in range(n + 1):
@@ -190,7 +224,6 @@ def test_double_counting(hg):
 def test_non_uniform_stats():
     s = stats(Hypergraph(3, ((0, 1), (0, 1, 2))))
     assert s.d is None
-    assert s.edge_sizes == (2, 3)
     assert not s.is_regular
 
 
@@ -233,7 +266,7 @@ def _outcome(hg, max_nodes, threads):
 @pytest.mark.parametrize("hg", [build_sudoku_hg(2), build_torus_queens_hg(5)])
 def test_matching_budget_does_not_depend_on_threads(hg):
     masks = hypergraph._edge_masks(hg)
-    _, serial_nodes = hypergraph._count_cover(hg.num_vertices, masks, 0, 10**9)
+    _, serial_nodes = cover_count(hg.num_vertices, masks)
     first_level = sum(m & 1 for m in masks)
     budgets = {0, first_level - 1, first_level, 2000}
     budgets |= {serial_nodes - 1, serial_nodes, serial_nodes + 1}
@@ -260,7 +293,7 @@ def test_pool_splits_on_the_serial_root_vertex():
     first = hypergraph._fewest_candidates(tables.incident, tables.full, (1 << len(masks)) - 1)
     assert first == tables.incident[1] != tables.incident[0]
     first_level = first.bit_count()
-    count, serial_nodes = hypergraph._count_cover(hg.num_vertices, masks, 0, 10**9)
+    count, serial_nodes = cover_count(hg.num_vertices, masks)
     assert count == count_perfect_matchings(hg) >= 10
     budgets = {0, first_level - 1, first_level, first_level + 1, serial_nodes // 2}
     budgets |= {serial_nodes - 1, serial_nodes, serial_nodes + 1}
@@ -285,11 +318,11 @@ def test_pool_splits_on_the_serial_root_vertex():
 )
 def test_cover_search_does_not_depend_on_edge_order(hg):
     masks = hypergraph._edge_masks(hg)
-    expected = hypergraph._count_cover(hg.num_vertices, masks, 0, 10**9)
+    expected = cover_count(hg.num_vertices, masks)
     for seed in range(5):
         shuffled = masks[:]
         random.Random(seed).shuffle(shuffled)
-        assert hypergraph._count_cover(hg.num_vertices, shuffled, 0, 10**9) == expected
+        assert cover_count(hg.num_vertices, shuffled) == expected
 
 
 def _random_hypergraph(rng):
@@ -311,7 +344,7 @@ def test_matching_counts_match_brute_force():
         hg = _random_hypergraph(random.Random(seed))
         expected = brute_force_perfect_matchings(hg.num_vertices, hg.edges)
         masks = hypergraph._edge_masks(hg)
-        assert hypergraph._count_cover(hg.num_vertices, masks, 0, 10**9)[0] == expected
+        assert cover_count(hg.num_vertices, masks)[0] == expected
         assert count_perfect_matchings(hg) == expected
         s = stats(hg)
         seen["matched"] += expected > 0

@@ -45,7 +45,7 @@ def test_single_thread_verify_starts_no_pool_module():
         "import contextlib, io\n"
         "from queens_lab import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['verify', '--level', 'quick', '--threads', '1']) == 0\n"
+        "    assert cli.main(['verify', '--level', 'quick']) == 0\n"
         + LOADED
     )
     assert "queens_lab.verify" in loaded

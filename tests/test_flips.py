@@ -2,6 +2,7 @@ import json
 import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -473,3 +474,24 @@ def test_flips_cli_count_at_k8_never_enumerates(monkeypatch, capsys):
     monkeypatch.setattr(flips, "enumerate_flips", refuse)
     assert cli.main(["flips", "--k", "8", "--count"]) == 0
     assert json.loads(capsys.readouterr().out) == {"k": 8, "n": 65537, "count": 65537 * 16384}
+
+
+def test_picks_and_enumeration_match_the_pinned_file():
+    """``data/greedy_flips.json`` pins which flips are picked, not only that
+    a pick repeats: the canonical ids of greedy_disjoint_flips for k = 1..5,
+    t in {1, n // 16, n // 4} and seed in {None, 0, 1, 2} (the count
+    achieved where the pass exhausts), and the added squares of every flip
+    that enumerate_flips lists for k <= 3, flattened to x0, y0, .., x3, y3."""
+    pinned = json.loads((Path(__file__).parent / "data" / "greedy_flips.json").read_text())
+    for case in pinned["greedy"]:
+        params = BaseParams(case["k"])
+        if "ids" in case:
+            ids = greedy_disjoint_flips(params, case["t"], seed=case["seed"]).canonical_ids()
+            assert [list(s) for s in ids] == case["ids"], case
+        else:
+            with pytest.raises(GreedyExhaustionError) as info:
+                greedy_disjoint_flips(params, case["t"], seed=case["seed"])
+            assert info.value.achieved == case["achieved"], case
+    for k, added in pinned["enumerate_flips"].items():
+        flat = [[c for s in f.added for c in s] for f in enumerate_flips(BaseParams(int(k)))]
+        assert flat == added, k

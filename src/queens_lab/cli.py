@@ -221,6 +221,8 @@ def _hg_from_args(args, parser) -> tuple[hypergraph.Hypergraph, str, dict]:
 
 
 def _run_hg(args, parser) -> Any:
+    from dataclasses import asdict
+
     from . import hypergraph
 
     hg, family, raw = _hg_from_args(args, parser)
@@ -229,14 +231,7 @@ def _run_hg(args, parser) -> Any:
     payload: dict[str, Any] = {"family": family, "params": raw}
     hg_stats = hypergraph.stats(hg) if args.stats or args.bound else None
     if args.stats:
-        payload["stats"] = {
-            "num_vertices": hg_stats.num_vertices,
-            "num_edges": hg_stats.num_edges,
-            "d": hg_stats.d,
-            "is_regular": hg_stats.is_regular,
-            "k": hg_stats.k,
-            "max_codegree": hg_stats.max_codegree,
-        }
+        payload["stats"] = asdict(hg_stats)
     if args.count_pm:
         payload["perfect_matchings"] = hypergraph.count_perfect_matchings(
             hg, threads=args.threads

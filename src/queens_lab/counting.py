@@ -19,17 +19,18 @@ into a Counter of verdict tuples, with no per-board Python loop.
 The search is reduced by symmetry.  The mirror x -> n - 1 - x maps
 classical solutions onto classical ones, and the maps x -> +-x + c map
 toroidal solutions onto toroidal ones; each maps the search tree below a
-prefix of rows onto the tree below its image, node for node.  So the
-search splits on the legal placements (x0, x1) of the first two rows and
-searches one per orbit under the board's column symmetries, its
-lexicographic least, weighted by the orbit's size.  The classical board
-searches x0 < (n - 1) / 2, and on an odd board the middle column with
-x1 < (n - 1) / 2, each weighted by 2; the torus searches (0, a) with
-a <= n / 2, weighted by 2n, or n for a = n / 2.  One ordered task list
-serves the serial loop, the process pool that the counters' optional
-``threads`` argument fans the tasks (~n^2 / 2 classical, ~n / 2
-toroidal) out to, and enumerate_solutions, which runs in-process and
-rebuilds the other solutions as images of the searched ones.  Counts are weighted commutative sums and do not
+prefix of rows onto the tree below its image, node for node.  ``_group``
+is the one list of these column maps.  The search splits on the legal
+placements (x0, x1) of the first two rows and searches one per orbit
+under the group, its lexicographic least, weighted by the orbit's size.
+The classical board searches x0 < (n - 1) / 2, and on an odd board the
+middle column with x1 < (n - 1) / 2, each weighted by 2; the torus
+searches (0, a) with a <= n / 2, weighted by 2n, or n for a = n / 2.
+One ordered task list serves the serial loop, the process pool that the
+counters' optional ``threads`` argument fans the tasks (~n^2 / 2
+classical, ~n / 2 toroidal) out to, and enumerate_solutions, which runs
+in-process and returns the set of the searched solutions' images under
+the same group, sorted.  Counts are weighted commutative sums and do not
 depend on the worker count.  The pool class is imported on the first
 fan-out, so a single-worker process never loads concurrent.futures or
 multiprocessing.
@@ -44,8 +45,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, permutations, repeat, tee
-from typing import Iterator
+from itertools import permutations, repeat, tee
 
 from . import core
 from .core import QueensConfig
@@ -96,6 +96,16 @@ def _attacks(n: int, toroidal: bool, prefix: tuple[int, ...]) -> tuple[int, int,
     return cols, up, down
 
 
+def _group(n: int, toroidal: bool) -> list[tuple[int, int]]:
+    """The column maps x -> (s * x + c) % n, as (s, c), that carry solutions
+    onto solutions: the identity and the mirror x -> n - 1 - x on the
+    classical board, every translation with and without the reflection
+    x -> -x on the torus."""
+    if toroidal:
+        return [(s, c) for s in (1, -1) for c in range(n)]
+    return [(1, 0), (-1, n - 1)]
+
+
 def _tasks(n: int, toroidal: bool) -> list[tuple[tuple[int, ...], int]]:
     """The searched legal placements of the first min(n, 2) rows, in
     lexicographic order, each the least of its orbit under the board's
@@ -109,14 +119,7 @@ def _tasks(n: int, toroidal: bool) -> list[tuple[tuple[int, ...], int]]:
             free = full & ~(cols | up | down)
             grown += [prefix + (x,) for x in range(n) if free >> x & 1]
         prefixes = grown
-    # The column maps x -> (s * x + c) % n that carry solutions onto
-    # solutions: the identity and the mirror x -> n - 1 - x on the
-    # classical board, every translation with and without the reflection
-    # x -> -x on the torus.
-    if toroidal:
-        group = [(s, c) for s in (1, -1) for c in range(n)]
-    else:
-        group = [(1, 0), (-1, n - 1)]
+    group = _group(n, toroidal)
     seen: set[tuple[int, ...]] = set()
     tasks = []
     # In lexicographic order the first prefix met of an orbit is its least.
@@ -175,30 +178,6 @@ def _subtree(
     # rec shifts ``down`` down a row on entry.
     count = rec(len(prefix), cols, up, down << 1)
     return count, nodes
-
-
-def _images(
-    n: int, toroidal: bool, found: list[tuple[int, ...]]
-) -> Iterator[tuple[int, ...]]:
-    """The solutions outside the searched prefixes, in lexicographic
-    order, as images of the searched solutions ``found``."""
-    if n == 1:
-        # The one board is its own image.
-        return
-    if toroidal:
-        # The reflection keeps p[0] = 0 and sends p[1] = a <= n / 2 to
-        # n - a > n / 2 (an even n, where a = n / 2 is its own image, has
-        # no toroidal solutions), so the p[0] = 0 block is ``found``
-        # followed by the reflected boards; translations give the rest.
-        reflected = sorted(tuple(-x % n for x in p) for p in found)
-        yield from reflected
-        for c in range(1, n):
-            shifted = (tuple((x + c) % n for x in p) for p in chain(found, reflected))
-            yield from sorted(shifted)
-    else:
-        # The mirror reverses lexicographic order.
-        for p in reversed(found):
-            yield tuple(n - 1 - x for x in p)
 
 
 def _count(n: int, mode: str, threads: int) -> CountResult:
@@ -271,4 +250,6 @@ def enumerate_solutions(n: int, mode: str) -> list[QueensConfig]:
     found: list[tuple[int, ...]] = []
     for prefix, _ in _tasks(n, toroidal):
         _subtree(n, toroidal, prefix, found)
-    return [QueensConfig(n=n, p=p) for p in chain(found, _images(n, toroidal, found))]
+    group = _group(n, toroidal)
+    boards = {tuple((s * x + c) % n for x in p) for p in found for s, c in group}
+    return [QueensConfig(n=n, p=p) for p in sorted(boards)]

@@ -21,11 +21,12 @@ and refuses boards above the "board" cap.
 
 One scan of the unoccupied squares, column by column, meets the flips in
 canonical-id order.  ``enumerate_flips`` lists everything it yields, and
-refuses more flips than the "edges" cap before it starts; both selections
-mark the rows of each flip they keep in one ``used`` bytearray, so the
-scan yields only flips disjoint from those.  Seeded selection draws
-uniform unoccupied squares: every flip owns exactly four of them, so each
-accepted draw is uniform over the flips still available.
+refuses more flips than the "edges" cap before it starts.  Both
+selections keep flips through one loop, ``_keep``, which marks each kept
+flip's rows in a ``used`` bytearray, so the scan yields only flips
+disjoint from those.  Seeded selection draws uniform unoccupied squares:
+every flip owns exactly four of them, so each accepted draw is uniform
+over the flips still available.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .construction import BaseParams
 from .core import QueensConfig, Square, is_toroidal
@@ -96,15 +96,9 @@ class FlipSet:
 def companion_pair(params: BaseParams, y1: int, y2: int) -> tuple[int, int]:
     """Companion rows (y3, y4) for the pair (y1, y2); verifies the eight
     diagonal balance equations before returning."""
-    n = params.n
+    n, m, inv = params.n, params.m, params.inv
     if y1 % n == y2 % n:
         raise FlipError(f"companion pair requires distinct rows, got {y1} and {y2}")
-    return _companion_pair(params, y1, y2)
-
-
-def _companion_pair(params: BaseParams, y1: int, y2: int) -> tuple[int, int]:
-    """companion_pair for distinct rows."""
-    n, m, inv = params.n, params.m, params.inv
     y3 = (inv * (m * y2 + y1)) % n
     y4 = (inv * (m * y1 + y2)) % n
     _verify_balance(params, y1 % n, y2 % n, y3, y4)
@@ -134,7 +128,7 @@ def _verify_balance(params: BaseParams, y1: int, y2: int, y3: int, y4: int) -> N
 
 def _flip_from_pair(params: BaseParams, y1: int, y2: int) -> Flip:
     n, m = params.n, params.m
-    y3, y4 = _companion_pair(params, y1, y2)
+    y3, y4 = companion_pair(params, y1, y2)
     col = {y: (m * y) % n for y in (y1, y2, y3, y4)}
     removed = tuple(
         sorted((Square(col[y], y) for y in (y1, y2, y3, y4)), key=lambda s: s.y)
@@ -250,32 +244,38 @@ def greedy_disjoint_flips(params: BaseParams, t: int, seed: int | None = None) -
             f"t = {t} disjoint flips would remove {4 * t} queens, "
             f"more than the {params.n} of the board"
         )
+    used = bytearray(params.n)
+    chosen: list[Flip] = []
     if seed is None:
-        chosen = _first_disjoint(params, t)
+        _keep(_free_flips(params, used), t, used, chosen)
     else:
-        chosen = _sampled_disjoint(params, t, random.Random(seed))
+        _sampled_disjoint(params, t, random.Random(seed), used, chosen)
     if len(chosen) < t:
         raise GreedyExhaustionError(requested=t, achieved=len(chosen))
     return FlipSet(flips=tuple(chosen))
 
 
-def _first_disjoint(params: BaseParams, t: int) -> list[Flip]:
-    """Up to t flips, each the first in canonical-id order disjoint from
-    those before it."""
-    used = bytearray(params.n)
-    chosen: list[Flip] = []
-    for flip in islice(_free_flips(params, used), t):
-        chosen.append(flip)
-        for row in flip.rows:
-            used[row] = 1
-    return chosen
+def _keep(flips: Iterable[Flip], t: int, used: bytearray, chosen: list[Flip]) -> None:
+    """Append to ``chosen`` each of ``flips`` that shares no row marked in
+    ``used``, marking its rows, and draw no flip once ``chosen`` holds t,
+    so a scan that reads ``used`` as it goes stops at the t-th kept flip."""
+    if len(chosen) == t:
+        return
+    for flip in flips:
+        rows = flip.rows
+        if not any(used[row] for row in rows):
+            chosen.append(flip)
+            for row in rows:
+                used[row] = 1
+            if len(chosen) == t:
+                return
 
 
-def _sampled_disjoint(params: BaseParams, t: int, rng: random.Random) -> list[Flip]:
-    """Up to t disjoint flips, each uniform over those still available."""
+def _sampled_disjoint(
+    params: BaseParams, t: int, rng: random.Random, used: bytearray, chosen: list[Flip]
+) -> None:
+    """Keep up to t disjoint flips, each uniform over those still available."""
     n, m, inv = params.n, params.m, params.inv
-    chosen: list[Flip] = []
-    used = bytearray(n)
     misses = 0
     while len(chosen) < t and misses < n:
         y = rng.randrange(n)
@@ -288,20 +288,11 @@ def _sampled_disjoint(params: BaseParams, t: int, rng: random.Random) -> list[Fl
             misses += 1
             continue
         misses = 0
-        chosen.append(_flip_from_pair(params, y1, y))
-        for row in rows:
-            used[row] = 1
+        _keep((_flip_from_pair(params, y1, y),), t, used, chosen)
     if len(chosen) < t:
         rest = list(_free_flips(params, used))
         rng.shuffle(rest)
-        for flip in rest:
-            if len(chosen) == t:
-                break
-            if not any(used[row] for row in flip.rows):
-                chosen.append(flip)
-                for row in flip.rows:
-                    used[row] = 1
-    return chosen
+        _keep(rest, t, used, chosen)
 
 
 def _require_base(base: QueensConfig) -> BaseParams:

@@ -21,8 +21,12 @@ depend on edge order.  When the gcd of the edge sizes does not divide
 the vertex count, no perfect matching exists and nothing is searched.
 
 With ``threads`` > 1 the root's subtrees go to a process pool whose class
-is imported on the first fan-out.  Only ``build_flip_hg`` imports the
-construction and flip modules, so the other builders load neither.
+is imported on the first fan-out.  Each worker searches its subtree with
+the budget left after the root's candidates; an overrun propagates as
+the picklable SearchBudgetError, and for it, or for a node total above
+the budget, the parent raises the serial SearchBudgetError(budget + 1,
+budget).  Only ``build_flip_hg`` imports the construction and flip
+modules, so the other builders load neither.
 """
 
 from __future__ import annotations
@@ -355,20 +359,6 @@ def _cover_search(
     return rec(cover, alive), nodes
 
 
-def _pm_subtree(
-    tables: _CoverTables, cover: int, alive: int, budget: int
-) -> tuple[int, int]:
-    """Count the exact covers below one first-level edge, as (count, nodes).
-
-    A subtree that overruns ``budget`` reports ``budget + 1`` nodes: the
-    caller only needs to know that the total exceeds its budget.
-    """
-    try:
-        return _cover_search(tables, cover, alive, budget)
-    except SearchBudgetError as exc:
-        return 0, exc.nodes_visited
-
-
 def count_perfect_matchings(hg: Hypergraph, threads: int = 1) -> int:
     """Exact number of edge subsets partitioning the vertex set.
 
@@ -383,8 +373,9 @@ def count_perfect_matchings(hg: Hypergraph, threads: int = 1) -> int:
     subtrees below the root's candidate edges are counted in a process
     pool of at most one worker per subtree and per CPU.  The root's
     candidates plus the subtree nodes are the serial node count, and the
-    budget applies to that total, so the result or error does not depend
-    on ``threads``.
+    budget applies to that total: a subtree's overrun or a larger total
+    raises the serial error, so the result or error does not depend on
+    ``threads``.
     """
     if hg.num_vertices == 0:
         return 1
@@ -411,11 +402,16 @@ def count_perfect_matchings(hg: Hypergraph, threads: int = 1) -> int:
         global ProcessPoolExecutor
         if ProcessPoolExecutor is None:
             from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(_pm_subtree, repeat(tables), covers, alives, repeat(budget - len(edges)))
-            )
-        if len(edges) + sum(nodes for _, nodes in results) > budget:
+        share = budget - len(edges)
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(
+                    pool.map(_cover_search, repeat(tables), covers, alives, repeat(share))
+                )
+            nodes = len(edges) + sum(m for _, m in results)
+        except SearchBudgetError:  # a subtree overran its share
+            nodes = budget + 1
+        if nodes > budget:
             raise SearchBudgetError(nodes_visited=budget + 1, budget=budget)
         return sum(count for count, _ in results)
     count, _ = _cover_search(tables, 0, alive, budget)

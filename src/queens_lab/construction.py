@@ -34,6 +34,8 @@ class BaseParams:
 
     def __post_init__(self):
         k = self.k
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise InvalidConfigError(f"k must be an integer, got {k!r}")
         limit = cap("board")
         if k < 1:
             raise InvalidConfigError(f"k must be >= 1, got {k}")

@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import json
 import os
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from math import comb, gcd, log
 from typing import NamedTuple
 
@@ -230,19 +230,26 @@ def stats(hg: Hypergraph) -> HypergraphStats:
 
     The codegrees are tallied over every vertex pair within an edge,
     sum C(|e|, 2) pairs, so that sum is checked against the "incidences"
-    cap before any is tallied.
+    cap before any is tallied.  They are tallied one vertex u at a time,
+    over the vertices v > u of the edges through u, so only u's
+    codegrees are held at once.
     """
     sizes = {len(e) for e in hg.edges}
     pairs = sum(size * (size - 1) // 2 for size in map(len, hg.edges))
     check_cap("incidences", pairs, f"hypergraph stats over {pairs} codegree pairs")
     d = min(sizes) if len(sizes) == 1 else None
     degrees = [0] * hg.num_vertices
-    codegree: Counter[tuple[int, int]] = Counter()
+    # The edges through each vertex that has a larger vertex beside it.
+    through: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
     for e in hg.edges:
         for v in e:
             degrees[v] += 1
-        for pair in combinations(e, 2):
-            codegree[pair] += 1
+        for v in e[:-1]:
+            through[v].append(e)
+    max_codegree = 0
+    for u, edges in through.items():
+        codegree = Counter(chain.from_iterable(e[e.index(u) + 1 :] for e in edges))
+        max_codegree = max(max_codegree, max(codegree.values()))
     distinct = set(degrees) if degrees else {0}
     is_regular = len(distinct) == 1
     return HypergraphStats(
@@ -251,7 +258,7 @@ def stats(hg: Hypergraph) -> HypergraphStats:
         d=d,
         is_regular=is_regular,
         k=distinct.pop() if is_regular else None,
-        max_codegree=max(codegree.values(), default=0),
+        max_codegree=max_codegree,
     )
 
 

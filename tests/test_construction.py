@@ -64,6 +64,12 @@ def test_k_is_the_only_field_a_caller_sets():
         BaseParams(9)
 
 
+@pytest.mark.parametrize("k", [True, False, 2.0, 9.0, "2", None])
+def test_k_that_is_not_an_int_is_refused_before_the_cap(k):
+    with pytest.raises(InvalidConfigError, match=r"^k must be an integer, got "):
+        BaseParams(k)
+
+
 def test_base_config_k1():
     config = build_base_config(1)
     assert config.n == 5

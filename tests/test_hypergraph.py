@@ -221,6 +221,26 @@ def test_double_counting(hg):
     assert s.num_vertices * s.k == s.d * s.num_edges
 
 
+def test_stats_match_a_brute_force_pair_count():
+    for seed in range(200):
+        rng = random.Random(seed)
+        num_vertices = rng.randrange(1, 12)
+        edges = {
+            tuple(sorted(rng.sample(range(num_vertices), rng.randint(1, num_vertices))))
+            for _ in range(rng.randrange(15))
+        }
+        hg = Hypergraph(num_vertices, tuple(edges))
+        max_codegree = max(
+            (sum(u in e and v in e for e in edges) for u in range(num_vertices) for v in range(u)),
+            default=0,
+        )
+        degrees = {sum(v in e for e in edges) for v in range(num_vertices)}
+        s = stats(hg)
+        assert s.max_codegree == max_codegree, seed
+        assert s.is_regular == (len(degrees) == 1), seed
+        assert s.k == (degrees.pop() if s.is_regular else None), seed
+
+
 def test_non_uniform_stats():
     s = stats(Hypergraph(3, ((0, 1), (0, 1, 2))))
     assert s.d is None

@@ -251,5 +251,7 @@ def enumerate_solutions(n: int, mode: str) -> list[QueensConfig]:
     for prefix, _ in _tasks(n, toroidal):
         _subtree(n, toroidal, prefix, found)
     group = _group(n, toroidal)
-    boards = {tuple((s * x + c) % n for x in p) for p in found for s, c in group}
+    # The searched boards keep their own tuples: equal images are not added.
+    boards = set(found)
+    boards.update(tuple((s * x + c) % n for x in p) for p in found for s, c in group)
     return [QueensConfig(n=n, p=p) for p in sorted(boards)]

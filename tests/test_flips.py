@@ -482,7 +482,7 @@ def test_picks_and_enumeration_match_the_pinned_file():
     t in {1, n // 16, n // 4} and seed in {None, 0, 1, 2} (the count
     achieved where the pass exhausts), and the added squares of every flip
     that enumerate_flips lists for k <= 3, flattened to x0, y0, .., x3, y3."""
-    pinned = json.loads((Path(__file__).parent / "data" / "greedy_flips.json").read_text())
+    pinned = json.loads((Path(__file__).parent / "data" / "greedy_flips.json").read_text("utf-8"))
     for case in pinned["greedy"]:
         params = BaseParams(case["k"])
         if "ids" in case:

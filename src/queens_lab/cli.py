@@ -25,6 +25,17 @@ PROG = "queens-lab"
 # parser imports neither module; a test pins them equal.
 MODES = ("classical", "toroidal")
 LEVELS = ("quick", "full")
+# hg --family: the hypergraph builder and the --params keys it takes, in
+# its argument order.  Names, not functions, so that building the parser
+# imports no command module.  In place of "latin", --params may give
+# "order", which goes through cyclic_latin_square.
+_FAMILIES = {
+    "torus": ("build_torus_queens_hg", ("n",)),
+    "transversal": ("build_transversal_hg", ("latin",)),
+    "sudoku": ("build_sudoku_hg", ("b",)),
+    "steiner": ("build_steiner_aux_hg", ("n", "q", "r")),
+    "flip": ("build_flip_hg", ("k",)),
+}
 
 
 def _read_input(path: str | None, parser) -> str:
@@ -50,7 +61,7 @@ def _flip_payload(flip) -> dict:
     }
 
 
-def _thread_count(text: str) -> int:
+def _positive(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -86,29 +97,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("count", help="exact solution counts")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--oracle", action="store_true", help="use the permutation-filter oracle")
-    p.add_argument("--threads", type=_thread_count, default=1)
+    p.add_argument("--threads", type=_positive, default=1)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("hg", help="hypergraph constructors, stats, matchings, bound")
-    p.add_argument("--family", choices=("torus", "transversal", "sudoku", "steiner", "flip"))
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--family", choices=_FAMILIES)
+    source.add_argument("--in", dest="infile", help="read a hypergraph JSON instead")
     p.add_argument("--params", default=None, help="JSON parameters for the family")
-    p.add_argument("--in", dest="infile", default=None, help="read a hypergraph JSON instead")
     p.add_argument("--stats", action="store_true")
     p.add_argument("--count-pm", action="store_true")
     p.add_argument("--bound", action="store_true")
-    p.add_argument("--threads", type=_thread_count, default=1)
+    p.add_argument("--threads", type=_positive, default=1)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("bounds", help="bound constants, exposure matrix, row profiles")
-    p.add_argument("--alpha", action="store_true")
-    p.add_argument("--torus-log", type=int, default=None, metavar="N")
-    p.add_argument("--classical-log", type=int, default=None, metavar="N")
-    p.add_argument("--dmatrix", type=int, default=None, metavar="N")
-    p.add_argument("--profile", action="store_true")
-    p.add_argument("--check-lemmas", action="store_true")
+    view = p.add_mutually_exclusive_group(required=True)
+    view.add_argument("--alpha", action="store_true")
+    view.add_argument("--torus-log", type=int, metavar="N")
+    view.add_argument("--classical-log", type=int, metavar="N")
+    view.add_argument("--dmatrix", type=int, metavar="N")
+    view.add_argument("--profile", action="store_true")
+    view.add_argument("--check-lemmas", action="store_true")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -154,8 +167,6 @@ def _run_generate(args, parser) -> Any:
 
 
 def _run_count(args, parser) -> Any:
-    if args.n < 1:
-        parser.error(f"--n must be >= 1, got {args.n}")
     from . import counting
 
     if args.oracle:
@@ -173,51 +184,47 @@ def _run_count(args, parser) -> Any:
     }
 
 
-# The --params keys each hg --family reads; transversal reads "latin" or,
-# without it, "order".
-_FAMILY_KEYS = {"torus": {"n"}, "sudoku": {"b"}, "steiner": {"n", "q", "r"}, "flip": {"k"}}
-
-
-def _holds_bool(value: Any) -> bool:
-    """True when a parsed JSON value is or holds true or false."""
-    if isinstance(value, dict):
-        return _holds_bool(list(value.values()))
-    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
+def _family_args(family: str, raw: Any) -> list:
+    """The builder arguments that a parsed --params gives ``family``, in
+    the builder's order; a TypeError names what is malformed."""
+    keys = _FAMILIES[family][1]
+    if keys == ("latin",) and isinstance(raw, dict) and "latin" not in raw:
+        keys = ("order",)
+    if not isinstance(raw, dict) or raw.keys() != set(keys):
+        raise TypeError(f"expected an object with exactly the keys: {', '.join(keys)}")
+    for key in keys:
+        value = raw[key]
+        if key == "latin":
+            # The builder checks the entries; true and false stay usage
+            # errors here, as they are for every other key.
+            if not isinstance(value, list) or not all(
+                isinstance(row, list) and not any(isinstance(v, bool) for v in row)
+                for row in value
+            ):
+                raise TypeError("latin must be an array of integer arrays")
+        elif type(value) is not int:  # not bool, whose values pass as 1 and 0
+            raise TypeError(f"{key} must be an integer, got {json.dumps(value)}")
+    return [raw[key] for key in keys]
 
 
 def _hg_from_args(args, parser) -> tuple[hypergraph.Hypergraph, str, dict]:
     from . import hypergraph
 
     if args.infile is not None:
+        if args.params is not None:
+            parser.error("argument --params: not allowed with argument --in")
         return hypergraph.from_json(_read_input(args.infile, parser)), "custom", {}
-    if args.family is None:
-        parser.error("hg requires --family or --in")
     try:
         raw = json.loads(args.params) if args.params else {}
     except json.JSONDecodeError as exc:
         parser.error(f"--params is not valid JSON: {exc}")
     try:
-        if _holds_bool(raw):  # JSON true and false would pass as the ints 1 and 0
-            raise TypeError("true or false given")
-        if isinstance(raw, dict):
-            if args.family == "transversal":
-                read = {"latin"} if "latin" in raw else {"order"}
-            else:
-                read = _FAMILY_KEYS[args.family]
-            if raw.keys() - read:
-                raise TypeError(f"keys not read: {sorted(raw.keys() - read)}")
-        if args.family == "torus":
-            return hypergraph.build_torus_queens_hg(raw["n"]), "torus", raw
-        if args.family == "transversal":
-            latin = raw["latin"] if "latin" in raw else hypergraph.cyclic_latin_square(raw["order"])
-            return hypergraph.build_transversal_hg(latin), "transversal", raw
-        if args.family == "sudoku":
-            return hypergraph.build_sudoku_hg(raw["b"]), "sudoku", raw
-        if args.family == "steiner":
-            return hypergraph.build_steiner_aux_hg(raw["n"], raw["q"], raw["r"]), "steiner", raw
-        return hypergraph.build_flip_hg(raw["k"]), "flip", raw
-    except (KeyError, TypeError) as exc:
+        values = _family_args(args.family, raw)
+    except TypeError as exc:
         parser.error(f"--params missing or malformed for family {args.family}: {exc}")
+    if "order" in raw:  # an order stands for the cyclic Latin square of that order
+        values = [hypergraph.cyclic_latin_square(*values)]
+    return getattr(hypergraph, _FAMILIES[args.family][0])(*values), args.family, raw
 
 
 def _run_hg(args, parser) -> Any:
@@ -254,19 +261,6 @@ def _run_hg(args, parser) -> Any:
 
 
 def _run_bounds(args, parser) -> Any:
-    actions = [
-        args.alpha,
-        args.torus_log is not None,
-        args.classical_log is not None,
-        args.dmatrix is not None,
-        args.profile,
-        args.check_lemmas,
-    ]
-    if sum(actions) != 1:
-        parser.error(
-            "bounds requires exactly one of --alpha, --torus-log, "
-            "--classical-log, --dmatrix, --profile, --check-lemmas"
-        )
     if args.format == "csv" and args.dmatrix is None and not args.profile:
         raise QueensLabError("csv format supported only for --dmatrix and --profile")
     from . import bounds

@@ -16,6 +16,7 @@ before 4^k is computed, so an absurd k costs nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from .core import QueensConfig
 from .errors import InvalidConfigError, NotInvertibleError, SizeLimitError, cap
@@ -60,22 +61,16 @@ class BaseParams:
 
 
 def mod_inverse(a: int, n: int) -> int:
-    """Inverse of a mod n via the extended Euclidean algorithm.
+    """Inverse of a mod n, for any modulus n >= 1, composite included.
 
-    Works for any modulus n >= 1, composite included.  Raises
-    NotInvertibleError carrying the gcd when a is not a unit.
+    Raises NotInvertibleError carrying the gcd when a is not a unit.
     """
     if n < 1:
         raise InvalidConfigError(f"modulus must be >= 1, got {n}")
-    old_r, r = a % n, n
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    if old_r != 1 and n != 1:
-        raise NotInvertibleError(a, n, old_r)
-    return old_s % n
+    g = gcd(a, n)
+    if g != 1 and n != 1:
+        raise NotInvertibleError(a, n, g)
+    return pow(a, -1, n)
 
 
 def check_units(params: BaseParams) -> bool:
@@ -84,12 +79,7 @@ def check_units(params: BaseParams) -> bool:
     For n = 4^k + 1 this always holds; the check exists so the algebraic
     precondition of the flip machinery can be asserted at runtime.
     """
-    for a in (params.m - 1, params.m, params.m + 1):
-        try:
-            mod_inverse(a, params.n)
-        except NotInvertibleError:
-            return False
-    return True
+    return all(gcd(a, params.n) == 1 for a in (params.m - 1, params.m, params.m + 1))
 
 
 def build_base_config(k: int) -> QueensConfig:

@@ -177,6 +177,7 @@ def _subtree(
     cols, up, down = _attacks(n, toroidal, prefix)
     # rec shifts ``down`` down a row on entry.
     count = rec(len(prefix), cols, up, down << 1)
+    del rec  # rec holds itself through its closure; this breaks the cycle
     return count, nodes
 
 

@@ -363,7 +363,9 @@ def _cover_search(
             total += rec(cover | masks[i], alive & ~conflict[i])
         return total
 
-    return rec(cover, alive), nodes
+    count = rec(cover, alive)
+    del rec  # rec holds itself through its closure; this breaks the cycle
+    return count, nodes
 
 
 def count_perfect_matchings(hg: Hypergraph, threads: int = 1) -> int:

@@ -92,6 +92,7 @@ def adaptive_simpson(
     fb = ev(hi)
     whole = simpson(lo, hi, fa, fm, fb)
     value, err = rec(lo, hi, fa, fm, fb, whole, tol, 0)
+    del rec  # rec holds itself through its closure; this breaks the cycle
     return QuadratureResult(value=value, abs_error_estimate=err, evaluations=evals)
 
 

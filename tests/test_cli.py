@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -247,26 +248,90 @@ def test_hg_params_usage_errors():
     assert info.value.code == 2
 
 
+# A well-formed --params per family; the cases below spoil one value or
+# the whole object.
+WELL_FORMED = {
+    "torus": {"n": 5},
+    "transversal": {"order": 3},
+    "sudoku": {"b": 2},
+    "steiner": {"n": 7, "q": 3, "r": 2},
+    "flip": {"k": 1},
+}
+
+
 @pytest.mark.parametrize(
     "family, params",
     [
-        ("torus", '{"n": true}'),
-        ("transversal", '{"order": true}'),
-        ("transversal", '{"latin": [[false]]}'),
-        ("sudoku", '{"b": true}'),
-        ("steiner", '{"n": 7, "q": 3, "r": true}'),
-        ("flip", '{"k": true}'),
+        pytest.param("torus", '{"n": true}', id="torus"),
+        pytest.param("transversal", '{"order": true}', id="transversal-order"),
+        pytest.param("transversal", '{"latin": [[false]]}', id="transversal-latin"),
+        pytest.param("sudoku", '{"b": true}', id="sudoku"),
+        pytest.param("steiner", '{"n": 7, "q": 3, "r": true}', id="steiner"),
+        pytest.param("flip", '{"k": true}', id="flip"),
+        *(
+            pytest.param(family, json.dumps({**good, key: bad}), id=f"{family}-{key}-{kind}")
+            for family, good in WELL_FORMED.items()
+            for key in good
+            for bad, kind in ((2.0, "float"), ("2", "string"), (None, "null"))
+        ),
+        *(
+            pytest.param("transversal", json.dumps({"latin": bad}), id=f"transversal-latin-{kind}")
+            for bad, kind in ((2.0, "float"), ("01", "string"), (None, "null"), ([0], "flat"))
+        ),
+        pytest.param("torus", '{"n": 1e7}', id="torus-above-edge-cap"),
+        pytest.param("torus", '{"n": -1.5}', id="torus-negative"),
+        *(
+            pytest.param(family, whole, id=f"{family}-whole-{whole}")
+            for family in WELL_FORMED
+            for whole in ("3", "[1]", "null")
+        ),
     ],
-    ids=["torus", "transversal-order", "transversal-latin", "sudoku", "steiner", "flip"],
 )
 def test_hg_bool_family_params_are_usage_errors(capsys, family, params):
-    # JSON true parses to a bool, which Python also takes as the int 1.
+    # JSON true parses to a bool, which Python also takes as the int 1;
+    # every value that is not a plain int is refused the same way, before
+    # any builder runs.
     with pytest.raises(SystemExit) as info:
         cli.main(["hg", "--family", family, "--params", params, "--count-pm"])
     assert info.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert f"--params missing or malformed for family {family}" in err
+    assert f"--params missing or malformed for family {family}: " in err
+    # The reason is the CLI's own, not the text of a Python exception.
+    reason = err.rstrip("\n").rsplit(f"family {family}: ", 1)[1]
+    assert re.fullmatch(
+        r"expected an object with exactly the keys: .+|"
+        r"\w+ must be an (integer, got .+|array of integer arrays)",
+        reason,
+    ), reason
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        ["--in", "HG", "--family", "torus"],
+        ["--in", "HG", "--params", "{}"],
+        ["--in", "-", "--family", "torus"],
+    ],
+    ids=["in-with-family", "in-with-params", "stdin-with-family"],
+)
+def test_hg_in_excludes_family_and_params(capsys, monkeypatch, tmp_path, source):
+    path = tmp_path / "hg.json"
+    path.write_text('{"n": 2, "edges": [[0, 1]]}')
+
+    class Unread:
+        def read(self):
+            raise AssertionError("read stdin before refusing the arguments")
+
+    monkeypatch.setattr("sys.stdin", Unread())
+    argv = ["hg", *(str(path) if arg == "HG" else arg for arg in source), "--count-pm"]
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "not allowed with argument --in" in err
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
+import gc
 import math
 from itertools import permutations
 
 import pytest
 
-from queens_lab import core, counting
+from queens_lab import bounds, core, counting, hypergraph, quadrature
 from queens_lab.core import QueensConfig, validate_classical, validate_toroidal
 from queens_lab.counting import (
     CountResult,
@@ -306,3 +307,27 @@ def test_pool_size_is_clamped_to_tasks_and_cpus(monkeypatch):
     monkeypatch.setattr(counting.os, "cpu_count", lambda: None)
     assert count_toroidal(7, threads=64).count == 28
     assert sizes == [3, 3]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: count_classical(10),
+        lambda: enumerate_solutions(10, "classical"),
+        lambda: hypergraph.count_perfect_matchings(hypergraph.build_torus_queens_hg(7)),
+        lambda: quadrature.adaptive_simpson(math.sin, 0.0, 1.0),
+        lambda: bounds.log_poly_integral(0, 0, 15, with_one=False),
+    ],
+    ids=["count", "enumerate", "matchings", "simpson", "log-poly"],
+)
+def test_recursive_searches_leave_no_reference_cycles(call):
+    # A nested recursive function holds itself through its closure; left
+    # alone, each call would keep its search state until the cyclic
+    # collector runs.
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -27,18 +27,14 @@ _EXPORTS = {
         "log_poly_integral",
         "torus_bound_log",
     ),
-    "construction": ("BaseParams", "build_base_config", "check_units", "mod_inverse"),
+    "construction": ("BaseParams", "build_base_config", "check_units"),
     "core": (
         "QueensConfig",
         "Square",
-        "ValidityReport",
-        "Violation",
         "is_classical",
         "is_toroidal",
         "parse",
         "serialize",
-        "validate_classical",
-        "validate_toroidal",
     ),
     "counting": (
         "CountResult",

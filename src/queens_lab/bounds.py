@@ -196,22 +196,18 @@ def classical_bound_log(n: int) -> float:
     return n * (math.log(n) - classical_alpha("closed_form"))
 
 
-def hypergraph_integral_check(k: float, d: int, c_bad: float = 0.0) -> QuadratureResult:
-    """Quadrature of d * integral_0^1 x^(d-1) log(k x^(d(d-1)) + c_bad) dx.
-
-    For c_bad = 0 the closed form is log k - (d - 1), the per-vertex term
-    of the matching bound; a positive c_bad models the additive noise the
-    bound absorbs into its vanishing-order factor.
-    """
-    if k < 1 or d < 1 or c_bad < 0:
-        raise InvalidConfigError("need k >= 1, d >= 1, c_bad >= 0")
+def hypergraph_integral_check(k: float, d: int) -> QuadratureResult:
+    """Quadrature of d * integral_0^1 x^(d-1) log(k x^(d(d-1))) dx, whose
+    closed form is log k - (d - 1), the per-vertex term of the matching
+    bound."""
+    if k < 1 or d < 1:
+        raise InvalidConfigError("need k >= 1, d >= 1")
     power = d * (d - 1)
 
     def f(x: float) -> float:
-        return x ** (d - 1) * math.log(k * x**power + c_bad)
+        return x ** (d - 1) * math.log(k * x**power)
 
-    singular = c_bad == 0 and d >= 2
-    result = integrate(f, 0.0, 1.0, singular_left=singular)
+    result = integrate(f, 0.0, 1.0, singular_left=d >= 2)
     return QuadratureResult(
         value=d * result.value,
         abs_error_estimate=d * result.abs_error_estimate,

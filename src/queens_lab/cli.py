@@ -38,15 +38,16 @@ _FAMILIES = {
 }
 
 
-def _read_input(path: str | None, parser) -> str:
+def _read_input(args) -> str:
     """The --in text (stdin for None or "-"); unreadable input is a usage error."""
+    path = args.infile
     try:
         if path is None or path == "-":
             return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        parser.error(f"argument --in: can't read {path or '-'!r}: {exc}")
+        args.parser.error(f"argument --in: can't read {path or '-'!r}: {exc}")
 
 
 def _config_payload(config: core.QueensConfig) -> dict:
@@ -79,31 +80,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", help="emit the base configuration for n = 4^k + 1")
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        # A runner gets its own subparser, so the usage errors it raises
+        # print that subcommand's usage line, as argparse's own do.
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run, parser=p)
+        return p
+
+    p = command("construct", _run_construct, "emit the base configuration for n = 4^k + 1")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("flips", help="enumerate the flips of the base configuration")
+    p = command("flips", _run_flips, "enumerate the flips of the base configuration")
     p.add_argument("--k", type=int, required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--list", action="store_true", help="emit every flip")
     group.add_argument("--count", action="store_true", help="emit the count only (default)")
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("generate", help="apply t disjoint flips to the base configuration")
+    p = command("generate", _run_generate, "apply t disjoint flips to the base configuration")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("count", help="exact solution counts")
+    p = command("count", _run_count, "exact solution counts")
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--oracle", action="store_true", help="use the permutation-filter oracle")
     p.add_argument("--threads", type=_positive, default=1)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("hg", help="hypergraph constructors, stats, matchings, bound")
+    p = command("hg", _run_hg, "hypergraph constructors, stats, matchings, bound")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--family", choices=_FAMILIES)
     source.add_argument("--in", dest="infile", help="read a hypergraph JSON instead")
@@ -114,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=_positive, default=1)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("bounds", help="bound constants, exposure matrix, row profiles")
+    p = command("bounds", _run_bounds, "bound constants, exposure matrix, row profiles")
     view = p.add_mutually_exclusive_group(required=True)
     view.add_argument("--alpha", action="store_true")
     view.add_argument("--torus-log", type=int, metavar="N")
@@ -127,20 +135,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("verify", help="run the invariant suite")
+    p = command("verify", _run_verify, "run the invariant suite")
     p.add_argument("--level", choices=LEVELS, default="quick")
     p.add_argument("--out", default=None)
 
     return parser
 
 
-def _run_construct(args, parser) -> Any:
+def _run_construct(args) -> Any:
     from .construction import build_base_config
 
     return _config_payload(build_base_config(args.k))
 
 
-def _run_flips(args, parser) -> Any:
+def _run_flips(args) -> Any:
     from .construction import BaseParams
 
     params = BaseParams(args.k)
@@ -153,7 +161,7 @@ def _run_flips(args, parser) -> Any:
     return payload
 
 
-def _run_generate(args, parser) -> Any:
+def _run_generate(args) -> Any:
     from .construction import BaseParams, build_base_config
     from .flips import apply_flips, greedy_disjoint_flips
 
@@ -166,7 +174,7 @@ def _run_generate(args, parser) -> Any:
     }
 
 
-def _run_count(args, parser) -> Any:
+def _run_count(args) -> Any:
     from . import counting
 
     if args.oracle:
@@ -207,13 +215,14 @@ def _family_args(family: str, raw: Any) -> list:
     return [raw[key] for key in keys]
 
 
-def _hg_from_args(args, parser) -> tuple[hypergraph.Hypergraph, str, dict]:
+def _hg_from_args(args) -> tuple[hypergraph.Hypergraph, str, dict]:
     from . import hypergraph
 
+    parser = args.parser
     if args.infile is not None:
         if args.params is not None:
             parser.error("argument --params: not allowed with argument --in")
-        return hypergraph.from_json(_read_input(args.infile, parser)), "custom", {}
+        return hypergraph.from_json(_read_input(args)), "custom", {}
     try:
         raw = json.loads(args.params) if args.params else {}
     except json.JSONDecodeError as exc:
@@ -227,12 +236,12 @@ def _hg_from_args(args, parser) -> tuple[hypergraph.Hypergraph, str, dict]:
     return getattr(hypergraph, _FAMILIES[args.family][0])(*values), args.family, raw
 
 
-def _run_hg(args, parser) -> Any:
+def _run_hg(args) -> Any:
     from dataclasses import asdict
 
     from . import hypergraph
 
-    hg, family, raw = _hg_from_args(args, parser)
+    hg, family, raw = _hg_from_args(args)
     if not (args.stats or args.count_pm or args.bound):
         return json.loads(hypergraph.to_json(hg))
     payload: dict[str, Any] = {"family": family, "params": raw}
@@ -260,7 +269,14 @@ def _run_hg(args, parser) -> Any:
     return payload
 
 
-def _run_bounds(args, parser) -> Any:
+def _run_bounds(args) -> Any:
+    parser = args.parser
+    if args.check_lemmas and args.n is None:
+        parser.error("--check-lemmas requires --n")
+    if args.n is not None and not args.check_lemmas:
+        parser.error("argument --n: not allowed without argument --check-lemmas")
+    if args.infile is not None and not args.profile:
+        parser.error("argument --in: not allowed without argument --profile")
     if args.format == "csv" and args.dmatrix is None and not args.profile:
         raise QueensLabError("csv format supported only for --dmatrix and --profile")
     from . import bounds
@@ -282,7 +298,7 @@ def _run_bounds(args, parser) -> Any:
     if args.profile:
         from . import core
 
-        config = core.parse(_read_input(args.infile, parser))
+        config = core.parse(_read_input(args))
         profiles = bounds.attack_profiles(config)
         return {
             "n": config.n,
@@ -292,26 +308,13 @@ def _run_bounds(args, parser) -> Any:
             ],
             "concentric_sum": bounds.concentric_sum(config),
         }
-    if args.n is None:
-        parser.error("--check-lemmas requires --n")
     return bounds.check_lemmas(args.n)
 
 
-def _run_verify(args, parser) -> Any:
+def _run_verify(args) -> Any:
     from . import verify
 
     return verify.run_verification_suite(args.level)
-
-
-_RUNNERS = {
-    "construct": _run_construct,
-    "flips": _run_flips,
-    "generate": _run_generate,
-    "count": _run_count,
-    "hg": _run_hg,
-    "bounds": _run_bounds,
-    "verify": _run_verify,
-}
 
 
 def _render(payload: Any, fmt: str) -> str:
@@ -329,10 +332,11 @@ def _render(payload: Any, fmt: str) -> str:
 def main(argv: list[str] | None = None) -> int:
     """Run one command; a payload whose "passed" is false exits 1, as a
     domain error does."""
-    parser = _build_parser()
-    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
+    args, extra = _build_parser().parse_known_args(sys.argv[1:] if argv is None else argv)
+    if extra:  # parse_args would refuse these under the top-level usage line
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        payload = _RUNNERS[args.command](args, parser)
+        payload = args.run(args)
     except QueensLabError as exc:
         sys.stderr.write(json.dumps({"status": "error", "code": exc.code, "message": str(exc)}) + "\n")
         return 1
@@ -342,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
-            parser.error(f"argument --out: can't write {args.out!r}: {exc}")
+            args.parser.error(f"argument --out: can't write {args.out!r}: {exc}")
     else:
         sys.stdout.write(text)
     return 1 if isinstance(payload, dict) and payload.get("passed") is False else 0

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .core import QueensConfig
-from .errors import InvalidConfigError, NotInvertibleError, SizeLimitError, cap
+from .errors import InvalidConfigError, SizeLimitError, cap
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class BaseParams:
         m = pow(2, k, n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "inv", mod_inverse(m + 1, n))
+        object.__setattr__(self, "inv", pow(m + 1, -1, n))
 
     @classmethod
     def from_board_size(cls, n: int) -> "BaseParams":
@@ -58,19 +58,6 @@ class BaseParams:
         if n < 5 or (n - 1) & (n - 2) != 0 or (n - 1).bit_length() % 2 == 0:
             raise InvalidConfigError(f"board size {n} is not of the form 4^k + 1")
         return cls(((n - 1).bit_length() - 1) // 2)
-
-
-def mod_inverse(a: int, n: int) -> int:
-    """Inverse of a mod n, for any modulus n >= 1, composite included.
-
-    Raises NotInvertibleError carrying the gcd when a is not a unit.
-    """
-    if n < 1:
-        raise InvalidConfigError(f"modulus must be >= 1, got {n}")
-    g = gcd(a, n)
-    if g != 1 and n != 1:
-        raise NotInvertibleError(a, n, g)
-    return pow(a, -1, n)
 
 
 def check_units(params: BaseParams) -> bool:

@@ -19,16 +19,14 @@ n distinct indices, the second family looked at only when the first
 passes.  is_toroidal first applies the classical test to each family's
 integer indices, since equal integers have equal residues; most
 permutations fail it, and a survivor's n distinct integers share a
-residue only when two of them differ by exactly n.  Each validator
-wraps the same predicate in a ValidityReport that lists a rejected
-placement's over-occupied lines.  The one per-n cache, the column set,
-holds n entries, since boards of 65 537 squares are checked too.
+residue only when two of them differ by exactly n.  The one per-n
+cache, the column set, holds n entries, since boards of 65 537 squares
+are checked too.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, sub
@@ -44,29 +42,13 @@ class Square(NamedTuple):
     y: int
 
 
-class Violation(NamedTuple):
-    """One over-occupied constraint line: kind, line index, queens on it."""
-
-    kind: str
-    index: int
-    multiplicity: int
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    """A validator's verdict and the over-occupied lines, by (kind, index)."""
-
-    is_valid: bool
-    violations: tuple[Violation, ...]
-
-
 @dataclass(frozen=True)
 class QueensConfig:
     """A placement of n queens, one per row, as a column permutation.
 
     Structural invariants (length, range, permutation) are enforced at
-    construction; validators below assume them and only ever report
-    diagonal violations.
+    construction; the predicates below assume them and look only at the
+    diagonals.
     """
 
     n: int
@@ -107,30 +89,13 @@ class QueensConfig:
     def squares(self) -> tuple[Square, ...]:
         return tuple(Square(x, y) for y, x in enumerate(self.p))
 
-    def occupied(self, square: Square) -> bool:
-        x, y = square
-        return 0 <= y < self.n and self.p[y] == x
 
-
-_VALID = ValidityReport(is_valid=True, violations=())
 _INT = frozenset({int})
 
 
 @lru_cache(maxsize=32)
 def _columns(n: int) -> frozenset[int]:
     return frozenset(range(n))
-
-
-def _violations(p: tuple[int, ...], wrap=int) -> tuple[Violation, ...]:
-    """Every over-occupied diagonal of ``p``, sorted by (kind, index); ``wrap``
-    maps a diagonal's integer index to its line (the identity by default)."""
-    rows = range(len(p))
-    return tuple(
-        Violation(kind, index, mult)
-        for kind, op in (("minus-diagonal", sub), ("plus-diagonal", add))
-        for index, mult in sorted(Counter(map(wrap, map(op, p, rows))).items())
-        if mult > 1
-    )
 
 
 def is_toroidal(config: QueensConfig) -> bool:
@@ -164,20 +129,6 @@ def is_classical(config: QueensConfig) -> bool:
     n = len(p)
     rows = range(n)
     return len(set(map(add, p, rows))) == n and len(set(map(sub, p, rows))) == n
-
-
-def validate_toroidal(config: QueensConfig) -> ValidityReport:
-    """is_toroidal, with the repeated residues mod n as violations."""
-    if is_toroidal(config):
-        return _VALID
-    return ValidityReport(False, _violations(config.p, config.n.__rmod__))
-
-
-def validate_classical(config: QueensConfig) -> ValidityReport:
-    """is_classical, with the repeated integer diagonals as violations."""
-    if is_classical(config):
-        return _VALID
-    return ValidityReport(False, _violations(config.p))
 
 
 def serialize(config: QueensConfig) -> str:

@@ -79,21 +79,6 @@ def check_cap(name: str, size: int, what: str) -> None:
         raise SizeLimitError(f"{what} exceeds {_CAP_NAMES.get(name, 'cap')} {limit}")
 
 
-class NotInvertibleError(QueensLabError):
-    """Modular inverse requested for a non-unit; carries the gcd."""
-
-    code = "not-invertible"
-
-    def __init__(self, a: int, n: int, gcd: int):
-        super().__init__(f"{a} is not invertible mod {n} (gcd = {gcd})")
-        self.a = a
-        self.n = n
-        self.gcd = gcd
-
-    def __reduce__(self):
-        return type(self), (self.a, self.n, self.gcd)
-
-
 class FlipError(QueensLabError):
     """A flip operation was applied outside its domain."""
 

@@ -286,7 +286,7 @@ def _bounds_checks(full: bool) -> list[dict]:
     )
 
     grid = [
-        [k, d, bounds.hypergraph_integral_check(k, d, 0.0).value, math.log(k) - (d - 1)]
+        [k, d, bounds.hypergraph_integral_check(k, d).value, math.log(k) - (d - 1)]
         for k in (5, 17, 100)
         for d in (2, 3, 4)
     ]

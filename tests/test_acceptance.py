@@ -22,7 +22,7 @@ from queens_lab.bounds import (
     log_poly_integral,
 )
 from queens_lab.construction import BaseParams, build_base_config
-from queens_lab.core import validate_toroidal
+from queens_lab.core import is_toroidal
 from queens_lab.counting import (
     count_classical,
     count_toroidal,
@@ -87,7 +87,7 @@ def test_criterion_2_exact_toroidal_counting():
 
 def test_criterion_3_construction_validity():
     start = time.perf_counter()
-    valid = [validate_toroidal(build_base_config(k)).is_valid for k in range(1, 5)]
+    valid = [is_toroidal(build_base_config(k)) for k in range(1, 5)]
     elapsed = time.perf_counter() - start
     ok = all(valid) and elapsed < 1.0
     report(3, ok, f"base configuration valid for k=1..4 (n up to 257), {elapsed:.2f}s < 1s")
@@ -104,12 +104,12 @@ def test_criterion_4_flip_algebra():
     for k in (1, 2):
         base = build_base_config(k)
         for flip in enumerate_flips(BaseParams(k)):
-            if not validate_toroidal(apply_flips(base, FlipSet(flips=(flip,)))).is_valid:
+            if not is_toroidal(apply_flips(base, FlipSet(flips=(flip,)))):
                 singles_ok = False
     base3 = build_base_config(3)
     flips3 = enumerate_flips(BaseParams(3))
     for flip in random.Random(0).sample(flips3, 500):
-        if not validate_toroidal(apply_flips(base3, FlipSet(flips=(flip,)))).is_valid:
+        if not is_toroidal(apply_flips(base3, FlipSet(flips=(flip,)))):
             singles_ok = False
 
     roundtrip_ok = True
@@ -216,7 +216,7 @@ def test_criterion_8_numeric_constants():
     alpha_ok = abs(alpha_closed - alpha_quad) <= 1e-9 and 1.587 < alpha_closed < 1.588
 
     grid_ok = all(
-        abs(hypergraph_integral_check(k, d, 0.0).value - (math.log(k) - (d - 1))) <= 1e-6
+        abs(hypergraph_integral_check(k, d).value - (math.log(k) - (d - 1))) <= 1e-6
         for k in (5, 17, 100)
         for d in (2, 3, 4)
     )

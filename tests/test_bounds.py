@@ -185,30 +185,19 @@ def test_finite_size_comparison_is_reported_not_asserted():
 @pytest.mark.parametrize("k", [5, 17, 100])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_matching_integral_closed_form(k, d):
-    result = hypergraph_integral_check(k, d, 0.0)
+    result = hypergraph_integral_check(k, d)
     assert result.value == pytest.approx(math.log(k) - (d - 1), abs=1e-6)
 
 
 def test_matching_integral_trivial():
-    assert hypergraph_integral_check(1, 1, 0.0).value == pytest.approx(0.0, abs=1e-9)
-
-
-def test_matching_integral_with_noise():
-    # d = 2, c_bad = 1 has the exact closed form ((k+1) log(k+1) - k) / k.
-    k = 100
-    value = hypergraph_integral_check(k, 2, 1.0).value
-    closed = ((k + 1) * math.log(k + 1) - k) / k
-    assert value == pytest.approx(closed, abs=1e-6)
-    assert value >= math.log(k + 1) - 1  # (k+1) x^2 <= k x^2 + 1 on [0, 1]
+    assert hypergraph_integral_check(1, 1).value == pytest.approx(0.0, abs=1e-9)
 
 
 def test_matching_integral_guards():
     with pytest.raises(InvalidConfigError):
-        hypergraph_integral_check(0, 2, 0.0)
+        hypergraph_integral_check(0, 2)
     with pytest.raises(InvalidConfigError):
-        hypergraph_integral_check(5, 0, 0.0)
-    with pytest.raises(InvalidConfigError):
-        hypergraph_integral_check(5, 2, -1.0)
+        hypergraph_integral_check(5, 0)
 
 
 def test_check_lemmas_is_capped_before_it_searches(monkeypatch):

@@ -161,7 +161,7 @@ def test_generate_valid_and_deterministic(capsys):
     assert out1 == out2
     payload = json.loads(out1)
     config = core.QueensConfig(n=payload["config"]["n"], p=tuple(payload["config"]["p"]))
-    assert core.validate_toroidal(config).is_valid
+    assert core.is_toroidal(config)
     assert len(payload["flips"]) == 4
 
 
@@ -363,32 +363,81 @@ def test_hg_float_latin_square_is_invalid_hypergraph(capsys, flags):
     assert json.loads(err)["code"] == "invalid-hypergraph"
 
 
-def _usage_error(capsys, argv, option, path):
+def _usage_error(capsys, argv, *fragments) -> str:
+    """Run ``argv``, which must fail with a usage error: exit 2, nothing on
+    stdout, and stderr under the subcommand's own usage line.  Returns the
+    usage text."""
     with pytest.raises(SystemExit) as info:
         cli.main(argv)
     assert info.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("usage: ")
-    assert f"argument {option}: " in err and repr(str(path)) in err
+    command = argv[0]
+    assert err.startswith(f"usage: queens-lab {command} ")
+    usage, _, message = err.partition(f"\nqueens-lab {command}: error: ")
+    assert message, err
+    for fragment in fragments:
+        assert fragment in message
     assert "Traceback" not in err
+    return usage
 
 
 def test_missing_in_file_is_usage_error(capsys, tmp_path):
     path = tmp_path / "missing.json"
-    _usage_error(capsys, ["hg", "--in", str(path), "--stats"], "--in", path)
+    _usage_error(capsys, ["hg", "--in", str(path), "--stats"], "argument --in: ", repr(str(path)))
 
 
 def test_undecodable_in_file_is_usage_error(capsys, tmp_path):
     path = tmp_path / "config.json"
     path.write_bytes(b'{"n": 1, "p": [0]}\xff')
-    _usage_error(capsys, ["bounds", "--profile", "--in", str(path)], "--in", path)
+    argv = ["bounds", "--profile", "--in", str(path)]
+    _usage_error(capsys, argv, "argument --in: ", repr(str(path)))
 
 
 def test_unwritable_out_file_is_usage_error(capsys, tmp_path):
     path = tmp_path / "missing" / "config.json"
-    _usage_error(capsys, ["construct", "--k", "1", "--out", str(path)], "--out", path)
+    argv = ["construct", "--k", "1", "--out", str(path)]
+    _usage_error(capsys, argv, "argument --out: ", repr(str(path)))
     assert not path.parent.exists()
+
+
+# Per subcommand: usage errors that argparse raises, then ones its runner
+# raises.  Every route prints the same usage line, the subcommand's.
+USAGE_ROUTES = {
+    "hg": [
+        (["--family", "torus", "--threads", "0"], "argument --threads: "),
+        (["--family", "torus", "--bogus"], "unrecognized arguments: --bogus"),
+        (["--family", "torus", "--params", "3"], "--params missing or malformed "),
+        (["--family", "torus", "--params", "{"], "--params is not valid JSON: "),
+        (["--in", "-", "--params", "{}"], "argument --params: not allowed with argument --in"),
+    ],
+    "bounds": [
+        (["--check-lemmas", "--n", "x"], "argument --n: invalid int value"),
+        (["--alpha", "--dmatrix", "5"], "argument --dmatrix: not allowed with argument --alpha"),
+        (["--check-lemmas"], "--check-lemmas requires --n"),
+        (["--alpha", "--n", "5"], "argument --n: not allowed without argument --check-lemmas"),
+        (["--profile", "--n", "5"], "argument --n: not allowed without argument --check-lemmas"),
+        (["--dmatrix", "5", "--in", "-"], "argument --in: not allowed without argument --profile"),
+    ],
+    "verify": [
+        (["--level", "slow"], "argument --level: invalid choice"),
+        (["--threads", "2"], "unrecognized arguments: --threads 2"),
+    ],
+}
+
+
+@pytest.mark.parametrize("command", USAGE_ROUTES)
+def test_every_usage_error_prints_the_subcommand_usage(capsys, monkeypatch, command):
+    class Unread:
+        def read(self):
+            raise AssertionError("read stdin before refusing the arguments")
+
+    monkeypatch.setattr("sys.stdin", Unread())
+    usages = {
+        _usage_error(capsys, [command, *args], fragment)
+        for args, fragment in USAGE_ROUTES[command]
+    }
+    assert len(usages) == 1
 
 
 def test_bounds_alpha(capsys):

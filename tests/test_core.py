@@ -7,14 +7,10 @@ from hypothesis import given, strategies as st
 from queens_lab.core import (
     QueensConfig,
     Square,
-    ValidityReport,
-    Violation,
     is_classical,
     is_toroidal,
     parse,
     serialize,
-    validate_classical,
-    validate_toroidal,
 )
 from queens_lab.errors import InvalidConfigError
 
@@ -35,51 +31,39 @@ def cfg(p):
 
 
 def test_toroidal_valid_example():
-    report = validate_toroidal(cfg([0, 2, 4, 1, 3]))
-    assert report.is_valid
-    assert report.violations == ()
+    assert is_toroidal(cfg([0, 2, 4, 1, 3]))
 
 
 def test_toroidal_single_queen():
-    assert validate_toroidal(cfg([0])).is_valid
+    assert is_toroidal(cfg([0]))
 
 
 def test_toroidal_identity_permutation_violations():
     # p[y] = y puts all queens on one wrap-around difference class.
-    report = validate_toroidal(cfg([0, 1, 2, 3]))
-    assert not report.is_valid
-    assert Violation("minus-diagonal", 0, 4) in report.violations
-    assert Violation("plus-diagonal", 0, 2) in report.violations
-    assert Violation("plus-diagonal", 2, 2) in report.violations
-    assert len(report.violations) == 3
+    assert not is_toroidal(cfg([0, 1, 2, 3]))
 
 
 def test_classical_standard_four_queens():
-    assert validate_classical(cfg([1, 3, 0, 2])).is_valid
+    assert is_classical(cfg([1, 3, 0, 2]))
 
 
 def test_classical_adjacent_diagonal():
-    report = validate_classical(cfg([0, 1]))
-    assert not report.is_valid
-    assert report.violations == (Violation("minus-diagonal", 0, 2),)
+    assert not is_classical(cfg([0, 1]))
 
 
 def test_toroidal_solution_is_classical_solution():
-    assert validate_classical(cfg([0, 2, 4, 1, 3])).is_valid
+    assert is_classical(cfg([0, 2, 4, 1, 3]))
 
 
 def test_classical_negative_diagonal_index():
-    # Classical difference indices are plain integers, so they can go negative.
-    report = validate_classical(cfg([1, 0, 3, 2]))
-    assert Violation("minus-diagonal", -1, 2) in report.violations
-    assert Violation("plus-diagonal", 1, 2) in report.violations
+    # Classical difference indices are plain integers, so they can go
+    # negative: the only repeated diagonal here is x - y = -1.
+    assert not is_classical(cfg([0, 3, 1, 2]))
 
 
 def test_squares_accessor():
     config = cfg([1, 0])
     assert config.squares() == (Square(1, 0), Square(0, 1))
-    assert config.occupied(Square(1, 0))
-    assert not config.occupied(Square(0, 0))
 
 
 @pytest.mark.parametrize(
@@ -177,8 +161,8 @@ def test_roundtrip(config):
 
 @given(configs)
 def test_toroidal_implies_classical(config):
-    if validate_toroidal(config).is_valid:
-        assert validate_classical(config).is_valid
+    if is_toroidal(config):
+        assert is_classical(config)
 
 
 def test_toroidal_implies_classical_exhaustive_small():
@@ -187,8 +171,8 @@ def test_toroidal_implies_classical_exhaustive_small():
     for n in range(1, 7):
         for p in permutations(range(n)):
             config = cfg(list(p))
-            if validate_toroidal(config).is_valid:
-                assert validate_classical(config).is_valid
+            if is_toroidal(config):
+                assert is_classical(config)
 
 
 def test_agrees_with_pairwise_checker_on_random_permutations():
@@ -198,8 +182,8 @@ def test_agrees_with_pairwise_checker_on_random_permutations():
             p = list(range(n))
             rng.shuffle(p)
             config = cfg(p)
-            assert validate_classical(config).is_valid == naive_classical_valid(p)
-            assert validate_toroidal(config).is_valid == naive_toroidal_valid(p)
+            assert is_classical(config) == naive_classical_valid(p)
+            assert is_toroidal(config) == naive_toroidal_valid(p)
 
 
 def _literal_toroidal(p):
@@ -250,57 +234,17 @@ def test_toroidal_pre_check_matches_the_residue_definition():
     assert handed_on >= 92 and accepted >= 4 + 68
 
 
-@pytest.mark.parametrize(
-    "validator,toroidal", [(validate_classical, False), (validate_toroidal, True)]
-)
-def test_reports_match_counter_reference_exhaustive(validator, toroidal):
-    import pickle
+@pytest.mark.parametrize("predicate,toroidal", [(is_classical, False), (is_toroidal, True)])
+def test_predicates_match_counter_reference_exhaustive(predicate, toroidal):
     from itertools import permutations
-
-    predicate = is_toroidal if toroidal else is_classical
 
     for n in range(1, 7):
         for p in permutations(range(n)):
-            report = validator(cfg(p))
-            expected = reference_violations(p, toroidal)
-            assert report.is_valid == (expected == ())
-            assert predicate(cfg(p)) == (expected == ())
-            assert report.violations == expected
-            assert report.violations == expected  # second read: same tally
-            # Each report below is fresh, so its first read is its own
-            # tally: a rejected report behaves as the constructed one.
-            direct = ValidityReport(expected == (), tuple(Violation(*v) for v in expected))
-            assert isinstance(validator(cfg(p)), ValidityReport)
-            assert validator(cfg(p)) == direct
-            assert direct == validator(cfg(p))
-            assert hash(validator(cfg(p))) == hash(direct)
-            assert repr(validator(cfg(p))) == repr(direct)
-            restored = pickle.loads(pickle.dumps(validator(cfg(p))))
-            assert type(restored) is ValidityReport
-            assert repr(restored) == repr(direct)
-
-
-def test_lazy_report_equality_hash_and_repr():
-    report = validate_classical(cfg([0, 1]))
-    direct = ValidityReport(is_valid=False, violations=(Violation("minus-diagonal", 0, 2),))
-    assert report == direct
-    assert hash(report) == hash(direct)
-    assert repr(report) == repr(direct)
-    assert repr(direct) == (
-        "ValidityReport(is_valid=False, "
-        "violations=(Violation(kind='minus-diagonal', index=0, multiplicity=2),))"
-    )
-
-
-def test_valid_report_equals_constructed_one():
-    expected = ValidityReport(is_valid=True, violations=())
-    assert validate_toroidal(cfg([0, 2, 4, 1, 3])) == expected
-    assert validate_classical(cfg([1, 3, 0, 2])) == expected
-    assert validate_classical(cfg([0, 1])) != expected
+            assert predicate(cfg(p)) == (reference_violations(p, toroidal) == ()), p
 
 
 def test_torus_validation_keeps_no_quadratic_cache():
-    # The validators also check base boards of n = 65 537 squares, where
+    # is_toroidal also checks base boards of n = 65 537 squares, where
     # an n x n table would hold 4.3e9 entries.  A fresh interpreter, so
     # that every per-n cache is built inside the measurement.
     import os
@@ -313,10 +257,10 @@ def test_torus_validation_keeps_no_quadratic_cache():
     script = (
         "import tracemalloc\n"
         "from queens_lab.construction import build_base_config\n"
-        "from queens_lab.core import validate_toroidal\n"
+        "from queens_lab.core import is_toroidal\n"
         "config = build_base_config(8)\n"
         "tracemalloc.start()\n"
-        "assert validate_toroidal(config).is_valid\n"
+        "assert is_toroidal(config)\n"
         "print(tracemalloc.get_traced_memory()[1])\n"
     )
     src = str(Path(queens_lab.__file__).resolve().parents[1])
@@ -328,22 +272,3 @@ def test_torus_validation_keeps_no_quadratic_cache():
         check=True,
     )
     assert int(done.stdout) < 16 * 2**20
-
-
-def test_report_is_immutable_and_pickles():
-    import pickle
-
-    for report in (
-        validate_toroidal(cfg([0, 1, 2, 3])),
-        validate_classical(cfg([0, 1])),
-        ValidityReport(False, (Violation("minus-diagonal", 0, 2),)),
-    ):
-        before = repr(report)
-        for name in ("is_valid", "violations", "_pending", "_violations", "other"):
-            with pytest.raises(AttributeError):
-                setattr(report, name, True)
-            with pytest.raises(AttributeError):
-                delattr(report, name)
-        assert report.is_valid is False
-        assert repr(report) == before
-        assert pickle.loads(pickle.dumps(report)) == report

@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 
 from queens_lab import bounds, core, counting, hypergraph, quadrature
-from queens_lab.core import QueensConfig, validate_classical, validate_toroidal
+from queens_lab.core import QueensConfig, is_classical, is_toroidal
 from queens_lab.counting import (
     CountResult,
     count_classical,
@@ -164,7 +164,7 @@ def test_enumerate_toroidal_five():
     solutions = enumerate_solutions(5, "toroidal")
     assert len(solutions) == 10
     for config in solutions:
-        assert validate_toroidal(config).is_valid
+        assert is_toroidal(config)
     boards = [s.p for s in solutions]
     assert boards == sorted(boards)
 
@@ -177,7 +177,7 @@ def test_enumerate_classical_eight():
     full = enumerate_solutions(8, "classical")
     assert len(full) == 92
     for config in full:
-        assert validate_classical(config).is_valid
+        assert is_classical(config)
 
 
 def test_enumerate_matches_count():

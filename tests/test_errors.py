@@ -5,7 +5,6 @@ import pytest
 from queens_lab import errors
 from queens_lab.errors import (
     GreedyExhaustionError,
-    NotInvertibleError,
     QueensLabError,
     ReconstructionError,
     SearchBudgetError,
@@ -21,7 +20,6 @@ DOMAIN_ERRORS = sorted(
 )
 
 CONSTRUCTOR_ARGS = {
-    NotInvertibleError: ((2, 4, 2), {}),
     GreedyExhaustionError: ((3, 1), {}),
     ReconstructionError: (((1, 2), "x"), {}),
     SearchBudgetError: ((), {"nodes_visited": 5, "budget": 4}),

@@ -8,7 +8,7 @@ import pytest
 
 from queens_lab import cli, construction, errors, flips
 from queens_lab.construction import BaseParams, build_base_config
-from queens_lab.core import QueensConfig, Square, validate_toroidal
+from queens_lab.core import QueensConfig, Square, is_toroidal
 from queens_lab.errors import (
     FlipError,
     GreedyExhaustionError,
@@ -105,7 +105,7 @@ def test_single_flip_boards_are_valid(params):
     base = build_base_config(params.k)
     for flip in enumerate_flips(params):
         modified = apply_flips(base, FlipSet(flips=(flip,)))
-        assert validate_toroidal(modified).is_valid
+        assert is_toroidal(modified)
 
 
 def test_flips_disjoint():
@@ -134,7 +134,7 @@ def test_greedy_counts():
     assert len(greedy_disjoint_flips(P2, P2.n // 16)) == 1
     chosen = greedy_disjoint_flips(P3, 4)
     assert len(chosen) == 4
-    assert validate_toroidal(apply_flips(build_base_config(3), chosen)).is_valid
+    assert is_toroidal(apply_flips(build_base_config(3), chosen))
 
 
 def test_greedy_deterministic_without_seed():
@@ -218,7 +218,7 @@ def test_apply_refuses_hand_made_flips(removed, added):
 
 def test_apply_requires_base_configuration():
     other = QueensConfig(n=5, p=(0, 3, 1, 4, 2))  # multiplier-3 board, not the base
-    assert validate_toroidal(other).is_valid
+    assert is_toroidal(other)
     with pytest.raises(FlipError):
         apply_flips(other, FlipSet(flips=()))
     with pytest.raises(QueensLabError):
@@ -338,17 +338,21 @@ def test_canonical_ids_sorted_in_flipset():
 
 
 def test_enumerate_flips_inverts_m_plus_one_once(monkeypatch):
+    # BaseParams takes the one inverse; enumerate_flips reads it and
+    # computes none.
     calls = []
-    inverse = construction.mod_inverse
 
-    def counted(a, n):
-        calls.append((a, n))
-        return inverse(a, n)
+    def counted(*args):
+        calls.append(args)
+        return pow(*args)
 
-    monkeypatch.setattr(construction, "mod_inverse", counted)
+    for module in (construction, flips):
+        monkeypatch.setattr(module, "pow", counted, raising=False)
     params = BaseParams(2)
+    assert [args for args in calls if args[1] == -1] == [(P2.m + 1, -1, P2.n)]
+    calls.clear()
     assert len(enumerate_flips(params)) == 17 * 16 // 4
-    assert calls == [(P2.m + 1, P2.n)]
+    assert calls == []
 
 
 @pytest.mark.parametrize("params", [P1, P2, P3])
@@ -376,7 +380,7 @@ def test_seeded_picks_are_disjoint_and_round_trip(t):
         rows = [s.y for f in chosen for s in f.removed]
         assert len(chosen) == t and len(rows) == len(set(rows)) == 4 * t
         board = apply_flips(base, chosen)
-        assert validate_toroidal(board).is_valid
+        assert is_toroidal(board)
         assert reconstruct_flips(base, board) == chosen
 
 
@@ -406,7 +410,7 @@ def test_seeded_selection_at_k8_never_enumerates(monkeypatch):
     assert len(chosen) == 4096
     base = build_base_config(8)
     board = apply_flips(base, chosen)
-    assert validate_toroidal(board).is_valid
+    assert is_toroidal(board)
     assert reconstruct_flips(base, board) == chosen
 
 

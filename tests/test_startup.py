@@ -86,7 +86,7 @@ print(json.dumps({"names": names, "dir": dir(queens_lab), "count": count, "homes
                   "missing": missing}))
 """
     )
-    assert len(result["names"]) == 59
+    assert len(result["names"]) == 54
     assert all(result["homes"].values())
     assert set(result["names"]) <= set(result["dir"])
     assert result["count"] == 92

@@ -181,19 +181,29 @@ def classical_alpha(method: str = "closed_form") -> float:
     raise InvalidConfigError(f"method must be 'closed_form' or 'quadrature', got {method!r}")
 
 
+def _bound_log(n: int, c: float) -> float:
+    """n (log n - c), the log of (n / e^c)^n; refuses n < 1, and any n at
+    which that value is not a finite float."""
+    if n < 1:
+        raise InvalidConfigError(f"n must be >= 1, got {n}")
+    try:
+        value = n * (math.log(n) - c)
+    except OverflowError:  # n itself is beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise InvalidConfigError(f"n = {n} is too large: its log bound is not a finite float")
+    return value
+
+
 def torus_bound_log(n: int) -> float:
     """log of the toroidal-count upper bound (n / e^3)^n, vanishing-order
     factor dropped: n (log n - 3)."""
-    if n < 1:
-        raise InvalidConfigError(f"n must be >= 1, got {n}")
-    return n * (math.log(n) - 3.0)
+    return _bound_log(n, 3.0)
 
 
 def classical_bound_log(n: int) -> float:
     """log of the classical-count upper bound (n / e^alpha)^n: n (log n - alpha)."""
-    if n < 1:
-        raise InvalidConfigError(f"n must be >= 1, got {n}")
-    return n * (math.log(n) - classical_alpha("closed_form"))
+    return _bound_log(n, classical_alpha("closed_form"))
 
 
 def hypergraph_integral_check(k: float, d: int) -> QuadratureResult:

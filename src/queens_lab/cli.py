@@ -89,27 +89,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("construct", _run_construct, "emit the base configuration for n = 4^k + 1")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out", default=None)
 
     p = command("flips", _run_flips, "enumerate the flips of the base configuration")
     p.add_argument("--k", type=int, required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--list", action="store_true", help="emit every flip")
     group.add_argument("--count", action="store_true", help="emit the count only (default)")
-    p.add_argument("--out", default=None)
 
     p = command("generate", _run_generate, "apply t disjoint flips to the base configuration")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
 
     p = command("count", _run_count, "exact solution counts")
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--oracle", action="store_true", help="use the permutation-filter oracle")
     p.add_argument("--threads", type=_positive, default=1)
-    p.add_argument("--out", default=None)
 
     p = command("hg", _run_hg, "hypergraph constructors, stats, matchings, bound")
     source = p.add_mutually_exclusive_group(required=True)
@@ -120,7 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-pm", action="store_true")
     p.add_argument("--bound", action="store_true")
     p.add_argument("--threads", type=_positive, default=1)
-    p.add_argument("--out", default=None)
 
     p = command("bounds", _run_bounds, "bound constants, exposure matrix, row profiles")
     view = p.add_mutually_exclusive_group(required=True)
@@ -133,12 +128,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
 
     p = command("verify", _run_verify, "run the invariant suite")
     p.add_argument("--level", choices=LEVELS, default="quick")
-    p.add_argument("--out", default=None)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return parser
 
 

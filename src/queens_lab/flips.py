@@ -19,14 +19,15 @@ Every function here takes its k, n, m and (m + 1)^-1 from a ``BaseParams``,
 whose one constructor ``BaseParams(k)`` derives n, m and (m + 1)^-1 from k
 and refuses boards above the "board" cap.
 
-One scan of the unoccupied squares, column by column, meets the flips in
-canonical-id order.  ``enumerate_flips`` lists everything it yields, and
-refuses more flips than the "edges" cap before it starts.  Both
-selections keep flips through one loop, ``_keep``, which marks each kept
-flip's rows in a ``used`` bytearray, so the scan yields only flips
-disjoint from those.  Seeded selection draws uniform unoccupied squares:
-every flip owns exactly four of them, so each accepted draw is uniform
-over the flips still available.
+The kernels work on row quadruples (y1, y2, y3, y4), the companion rows
+taken from one rule, ``_companions``; ``_flip`` checks a quadruple's
+balance and builds its ``Flip`` only where one is returned.  One scan of
+the unoccupied squares, column by column, meets the flips in canonical-id
+order.  ``enumerate_flips`` builds all it yields, refusing more than the
+"edges" cap first; both selections keep quadruples through ``_keep``,
+which marks their rows in a ``used`` bytearray, so the scan yields only
+flips disjoint from those.  Seeded selection draws uniform unoccupied
+squares; each flip owns four, so a kept draw is uniform over the free flips.
 """
 
 from __future__ import annotations
@@ -93,16 +94,33 @@ class FlipSet:
         return tuple(f.canonical_id for f in self.flips)
 
 
+Rows = tuple[int, int, int, int]
+
+
+def _companions(params: BaseParams, y1: int) -> tuple[int, int, int]:
+    """(a, b, c) with companion rows y3 = (a y + b) % n, y4 = (inv y + c) % n
+    of the pair (y1, y): y3 = inv (m y + y1) and y4 = inv (m y1 + y)."""
+    n, m, inv = params.n, params.m, params.inv
+    a = inv * m % n
+    return a, inv * y1 % n, a * y1 % n
+
+
+def _rows(params: BaseParams, y1: int, y: int) -> Rows:
+    """The quadruple (y1, y, y3, y4) of the flip on rows y1 and y."""
+    n = params.n
+    a, b, c = _companions(params, y1)
+    return y1, y, (a * y + b) % n, (params.inv * y + c) % n
+
+
 def companion_pair(params: BaseParams, y1: int, y2: int) -> tuple[int, int]:
     """Companion rows (y3, y4) for the pair (y1, y2); verifies the eight
     diagonal balance equations before returning."""
-    n, m, inv = params.n, params.m, params.inv
+    n = params.n
     if y1 % n == y2 % n:
         raise FlipError(f"companion pair requires distinct rows, got {y1} and {y2}")
-    y3 = (inv * (m * y2 + y1)) % n
-    y4 = (inv * (m * y1 + y2)) % n
-    _verify_balance(params, y1 % n, y2 % n, y3, y4)
-    return y3, y4
+    rows = _rows(params, y1 % n, y2 % n)
+    _verify_balance(params, *rows)
+    return rows[2], rows[3]
 
 
 def _verify_balance(params: BaseParams, y1: int, y2: int, y3: int, y4: int) -> None:
@@ -126,23 +144,13 @@ def _verify_balance(params: BaseParams, y1: int, y2: int, y3: int, y4: int) -> N
         )
 
 
-def _flip_from_pair(params: BaseParams, y1: int, y2: int) -> Flip:
+def _flip(params: BaseParams, rows: Rows) -> Flip:
+    """The flip on the quadruple ``rows``, built once its balance is verified."""
+    _verify_balance(params, *rows)
     n, m = params.n, params.m
-    y3, y4 = companion_pair(params, y1, y2)
-    col = {y: (m * y) % n for y in (y1, y2, y3, y4)}
-    removed = tuple(
-        sorted((Square(col[y], y) for y in (y1, y2, y3, y4)), key=lambda s: s.y)
-    )
-    added = tuple(
-        sorted(
-            (
-                Square(col[y1], y2),
-                Square(col[y2], y1),
-                Square(col[y3], y4),
-                Square(col[y4], y3),
-            )
-        )
-    )
+    removed = tuple(Square(m * y % n, y) for y in sorted(rows))
+    # Each row takes the base column of its partner in (y1, y2) or (y3, y4).
+    added = tuple(sorted(Square(m * rows[i ^ 1] % n, rows[i]) for i in range(4)))
     return Flip(removed=removed, added=added)  # type: ignore[arg-type]
 
 
@@ -159,7 +167,7 @@ def flip_for_square(params: BaseParams, square: Square) -> Flip:
     y1 = (n - m) * x % n
     if y1 == y:
         raise FlipError(f"square {tuple(square)} is occupied in the base configuration")
-    flip = _flip_from_pair(params, y1, y)
+    flip = _flip(params, _rows(params, y1, y))
     if square not in flip.added:
         raise InternalConsistencyError(f"flip for {tuple(square)} does not add it")
     return flip
@@ -174,31 +182,30 @@ def enumerate_flips(params: BaseParams) -> list[Flip]:
     n = params.n
     count = n * (n - 1) // 4
     check_cap("edges", count, f"flip enumeration at k = {params.k} ({count} flips)")
-    flips = list(_free_flips(params, bytearray(n)))
+    flips = [_flip(params, rows) for rows in _free_flips(params, bytearray(n))]
     if len(flips) != count:
         raise InternalConsistencyError(f"expected {count} flips, found {len(flips)}")
     return flips
 
 
-def _free_flips(params: BaseParams, used: bytearray) -> Iterator[Flip]:
-    """Flips in canonical-id order whose four rows are free in ``used``.
+def _free_flips(params: BaseParams, used: bytearray) -> Iterator[Rows]:
+    """Row quadruples of the flips free in ``used``, in canonical-id order.
 
     ``used`` is read as the scan goes, so rows the caller marks between
     yields rule out later flips.  The flip of the unoccupied square (x, y)
-    has rows y1 = (n - m) x (the column queen's row), y,
-    y3 = inv (m y + y1) and y4 = inv (m y1 + y), with inv = (m + 1)^-1.
-    Its four added squares lie in the columns m y1 = x, m y, m y3 and
-    m y4, which are distinct, so (x, y) is the flip's canonical id exactly
-    when x is the least of them.  Every flip in column x removes the
-    queen of row y1, so the column is left once that row is used.
+    has rows y1 = (n - m) x (the column queen's row), y and its companions,
+    whose coefficients are read once per column.  Its added squares lie in
+    the columns m y1 = x, m y, m y3 and m y4, which are distinct, so (x, y)
+    is the flip's canonical id exactly when x is the least of them.  Every
+    flip in column x removes the queen of row y1, so the column is left
+    once that row is used.
     """
     n, m, inv = params.n, params.m, params.inv
-    a = inv * m % n
     for x in range(n):
         y1 = (n - m) * x % n
         if used[y1]:
             continue
-        b, c = inv * y1 % n, a * y1 % n  # y3 = a y + b, y4 = inv y + c
+        a, b, c = _companions(params, y1)
         for y in range(used.find(0), n):
             if used[y] or y == y1:
                 continue
@@ -206,7 +213,7 @@ def _free_flips(params: BaseParams, used: bytearray) -> Iterator[Flip]:
             y4 = (inv * y + c) % n
             if used[y3] or used[y4] or m * y % n < x or m * y3 % n < x or m * y4 % n < x:
                 continue
-            yield _flip_from_pair(params, y1, y)
+            yield y1, y, y3, y4
             if used[y1]:
                 break
 
@@ -245,26 +252,25 @@ def greedy_disjoint_flips(params: BaseParams, t: int, seed: int | None = None) -
             f"more than the {params.n} of the board"
         )
     used = bytearray(params.n)
-    chosen: list[Flip] = []
+    chosen: list[Rows] = []
     if seed is None:
         _keep(_free_flips(params, used), t, used, chosen)
     else:
         _sampled_disjoint(params, t, random.Random(seed), used, chosen)
     if len(chosen) < t:
         raise GreedyExhaustionError(requested=t, achieved=len(chosen))
-    return FlipSet(flips=tuple(chosen))
+    return FlipSet(flips=tuple(_flip(params, rows) for rows in chosen))
 
 
-def _keep(flips: Iterable[Flip], t: int, used: bytearray, chosen: list[Flip]) -> None:
-    """Append to ``chosen`` each of ``flips`` that shares no row marked in
-    ``used``, marking its rows, and draw no flip once ``chosen`` holds t,
-    so a scan that reads ``used`` as it goes stops at the t-th kept flip."""
+def _keep(quads: Iterable[Rows], t: int, used: bytearray, chosen: list[Rows]) -> None:
+    """Append to ``chosen`` each of ``quads`` that shares no row marked in
+    ``used``, marking its rows, and draw no quadruple once ``chosen`` holds
+    t, so a scan that reads ``used`` as it goes stops at the t-th kept one."""
     if len(chosen) == t:
         return
-    for flip in flips:
-        rows = flip.rows
+    for rows in quads:
         if not any(used[row] for row in rows):
-            chosen.append(flip)
+            chosen.append(rows)
             for row in rows:
                 used[row] = 1
             if len(chosen) == t:
@@ -272,23 +278,22 @@ def _keep(flips: Iterable[Flip], t: int, used: bytearray, chosen: list[Flip]) ->
 
 
 def _sampled_disjoint(
-    params: BaseParams, t: int, rng: random.Random, used: bytearray, chosen: list[Flip]
+    params: BaseParams, t: int, rng: random.Random, used: bytearray, chosen: list[Rows]
 ) -> None:
-    """Keep up to t disjoint flips, each uniform over those still available."""
-    n, m, inv = params.n, params.m, params.inv
+    """Keep up to t disjoint quadruples, each uniform over those still available."""
+    n, m = params.n, params.m
     misses = 0
     while len(chosen) < t and misses < n:
         y = rng.randrange(n)
         x = rng.randrange(n - 1)
         if x >= m * y % n:
             x += 1  # skip the base queen's column
-        y1 = (n - m) * x % n
-        rows = (y1, y, inv * (m * y + y1) % n, inv * (m * y1 + y) % n)
+        rows = _rows(params, (n - m) * x % n, y)
         if any(used[row] for row in rows):
             misses += 1
             continue
         misses = 0
-        _keep((_flip_from_pair(params, y1, y),), t, used, chosen)
+        _keep((rows,), t, used, chosen)
     if len(chosen) < t:
         rest = list(_free_flips(params, used))
         rng.shuffle(rest)

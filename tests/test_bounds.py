@@ -174,6 +174,15 @@ def test_bound_logs():
         torus_bound_log(0)
 
 
+@pytest.mark.parametrize("bound_log", [torus_bound_log, classical_bound_log])
+@pytest.mark.parametrize("n", [10**306, 10**400], ids=["1e306", "1e400"])
+def test_bound_logs_refuse_n_without_a_finite_value(bound_log, n):
+    # At 10^306 the product overflows to inf; 10^400 is beyond the floats.
+    with pytest.raises(InvalidConfigError, match=f"n = {n} is too large"):
+        bound_log(n)
+    assert math.isfinite(bound_log(10**300))
+
+
 def test_finite_size_comparison_is_reported_not_asserted():
     # At n = 8 the exact count exceeds the bound value; both numbers are
     # produced for reporting and no ordering is claimed at finite n.

@@ -464,6 +464,16 @@ def test_bounds_log_values(capsys):
     assert classical["log_bound"] == pytest.approx(8 * (math.log(8) - classical["alpha"]))
 
 
+@pytest.mark.parametrize("view", ["--torus-log", "--classical-log"])
+@pytest.mark.parametrize("n", [10**306, 10**400], ids=["1e306", "1e400"])
+def test_bounds_log_without_a_finite_value_is_json_error(capsys, view, n):
+    code, out, err = run(capsys, ["bounds", view, str(n)])
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["code"] == "invalid-config"
+    assert error["message"].startswith(f"n = {n} is too large")
+
+
 def test_bounds_dmatrix_csv(capsys):
     code, out, _ = run(capsys, ["bounds", "--dmatrix", "5", "--format", "csv"])
     assert code == 0

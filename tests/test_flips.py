@@ -170,7 +170,7 @@ def test_more_flips_than_a_quarter_of_the_queens_are_refused_at_once(monkeypatch
         raise AssertionError("a square was scanned")
 
     monkeypatch.setattr(flips, "_free_flips", refuse)
-    monkeypatch.setattr(flips, "_flip_from_pair", refuse)
+    monkeypatch.setattr(flips, "_flip", refuse)
     for params in (P1, P3, BaseParams(8)):
         with pytest.raises(FlipError, match="more than the") as info:
             greedy_disjoint_flips(params, params.n // 4 + 1, seed=seed)
@@ -416,13 +416,13 @@ def test_seeded_selection_at_k8_never_enumerates(monkeypatch):
 
 def test_enumeration_is_bounded_before_any_pair(monkeypatch):
     pairs = []
-    build = flips._flip_from_pair
+    build = flips._flip
 
-    def counted(*args):
-        pairs.append(args[2:])
-        return build(*args)
+    def counted(params, rows):
+        pairs.append(rows)
+        return build(params, rows)
 
-    monkeypatch.setattr(flips, "_flip_from_pair", counted)
+    monkeypatch.setattr(flips, "_flip", counted)
     monkeypatch.setitem(errors.CAPS, "edges", 68)
     assert len(enumerate_flips(P2)) == 68
     pairs.clear()
@@ -499,3 +499,34 @@ def test_picks_and_enumeration_match_the_pinned_file():
     for k, added in pinned["enumerate_flips"].items():
         flat = [[c for s in f.added for c in s] for f in enumerate_flips(BaseParams(int(k)))]
         assert flat == added, k
+
+
+def test_flips_list_matches_the_pinned_file(capsys):
+    pinned = (Path(__file__).parent / "data" / "flips_k2_list.json").read_text("utf-8")
+    assert cli.main(["flips", "--k", "2", "--list"]) == 0
+    assert capsys.readouterr().out == pinned
+
+
+def test_flips_are_built_only_where_returned(monkeypatch):
+    # The kernels pass row quadruples; a Flip is built, balance-checked,
+    # once per flip that a public function returns, and never for a
+    # selection that exhausts.
+    built = []
+    build = flips._flip
+
+    def counted(params, rows):
+        built.append(rows)
+        return build(params, rows)
+
+    monkeypatch.setattr(flips, "_flip", counted)
+    for params in (P1, P2, P3):
+        built.clear()
+        assert len(enumerate_flips(params)) == len(built) == params.n * (params.n - 1) // 4
+    for params, t, seed in ((P3, 4, None), (P3, 14, None), (P3, 4, 0), (P2, 3, 0)):
+        built.clear()
+        assert len(greedy_disjoint_flips(params, t, seed=seed)) == len(built) == t
+    params = BaseParams(6)
+    built.clear()
+    with pytest.raises(GreedyExhaustionError):
+        greedy_disjoint_flips(params, params.n // 4, seed=0)
+    assert built == []

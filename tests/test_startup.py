@@ -11,8 +11,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 POOL_MODULES = ("concurrent.futures", "multiprocessing")
+ALL_MODULES = sorted(
+    p.stem for p in (SRC / "queens_lab").glob("*.py") if not p.stem.startswith("_")
+)
+FLIP_MODULES = ["construction", "core", "flips"]
 
 
 def fresh(code: str) -> dict:
@@ -38,6 +44,39 @@ def test_importing_cli_loads_no_command_module():
         "queens_lab.errors",
     ]
     assert not [m for m in loaded if m.startswith(POOL_MODULES)]
+
+
+# One case per command of README's "Start-up" table: the package modules a
+# command loads besides queens_lab, cli and errors.
+STARTUP_TABLE = [
+    (["construct", "--k", "2"], ["construction", "core"]),
+    (["flips", "--k", "2", "--count"], ["construction", "core"]),
+    (["flips", "--k", "2", "--list"], FLIP_MODULES),
+    (["generate", "--k", "2", "--t", "1"], FLIP_MODULES),
+    (["count", "--n", "6", "--mode", "classical"], ["core", "counting"]),
+    (["hg", "--family", "torus", "--params", '{"n":5}', "--stats"], ["hypergraph"]),
+    (["hg", "--family", "flip", "--params", '{"k":1}', "--stats"], FLIP_MODULES + ["hypergraph"]),
+    (["bounds", "--alpha"], ["bounds", "core", "quadrature"]),
+    (["bounds", "--check-lemmas", "--n", "6"], ["bounds", "core", "counting", "quadrature"]),
+    (["verify", "--level", "quick"], [m for m in ALL_MODULES if m not in ("cli", "errors")]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, modules", STARTUP_TABLE, ids=[" ".join(argv) for argv, _ in STARTUP_TABLE]
+)
+def test_startup_table(argv, modules):
+    loaded = fresh(
+        "import contextlib, io\n"
+        "from queens_lab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        + LOADED
+    )
+    package = {m for m in loaded if m.startswith("queens_lab")}
+    assert package == {"queens_lab", "queens_lab.cli", "queens_lab.errors"} | {
+        f"queens_lab.{m}" for m in modules
+    }
 
 
 def test_single_thread_verify_starts_no_pool_module():
@@ -95,8 +134,6 @@ print(json.dumps({"names": names, "dir": dir(queens_lab), "count": count, "homes
 
 def test_every_module_imports_first_in_a_fresh_interpreter():
     # An import cycle shows up only for the module that is imported first.
-    files = (SRC / "queens_lab").glob("*.py")
-    modules = sorted(p.stem for p in files if not p.stem.startswith("_"))
-    for module in modules:
+    for module in ALL_MODULES:
         loaded = fresh(f"import queens_lab.{module}\n" + LOADED)
         assert f"queens_lab.{module}" in loaded

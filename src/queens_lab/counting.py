@@ -5,9 +5,15 @@ counting and enumeration.  It keeps the occupied columns and, per
 diagonal family, the columns of the current row that an earlier queen
 attacks along it.  Moving down a row, the mask of one family shifts up a
 bit and the other shifts down; on the classical board the bit pushed off
-the edge is dropped, on the torus it re-enters at the other edge.
-Candidates are tried lowest column first, so enumerate_solutions yields
-placements in lexicographic order.  A brute-force permutation filter
+the edge is dropped, on the torus it re-enters at the other edge.  A
+node is entered only with a nonempty mask of free columns, and it shifts
+its masks once for all its children.  ``_moves`` holds, per free-column
+mask, the row's moves lowest column first, each with the mask of the
+next row's columns that its queen leaves open, so a child's free columns
+cost one AND and a dead child is never entered.  The table has 2^n
+entries and is held for one (n, board) at a time; each pool worker
+builds its own.  enumerate_solutions yields placements in lexicographic
+order.  A brute-force permutation filter
 provides an independent slow check: oracle_counts makes one pass over
 the n! permutations for any set of modes, building each permutation once
 as a checked QueensConfig (positionally, through the same
@@ -37,7 +43,10 @@ multiprocessing.
 
 ``nodes_visited`` is the size of the full, unreduced row-by-row tree:
 every legal placement tried, the first row included.  It is computed
-through the symmetry, as the weighted sum of the searched subtrees.
+through the symmetry, as the weighted sum of the searched subtrees; a
+node adds its free columns, so placements whose next row is dead are
+counted though never entered, and the sum is that of a search that
+entered them.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations, repeat, tee
 
 from . import core
@@ -131,6 +141,33 @@ def _tasks(n: int, toroidal: bool) -> list[tuple[tuple[int, ...], int]]:
     return tasks
 
 
+Move = tuple[int, int, int, int, int]
+
+
+@lru_cache(maxsize=1)
+def _moves(n: int, toroidal: bool) -> list[tuple[Move, ...]]:
+    """The moves into each free-column mask of a row, lowest column first.
+
+    A move is (x, bit, keep, up, down): the queen's column x and its bit,
+    ``keep`` the columns of the next row it leaves open (all but x and its
+    two diagonal neighbours, wrapped on the torus), and ``up`` and
+    ``down`` its diagonal bits on the next row.  The masks with bit x set
+    are those below it with bit x added, so each column doubles the table.
+    One table is held at a time.
+    """
+    full = (1 << n) - 1
+    table: list[tuple[Move, ...]] = [()]
+    for x in range(n):
+        bit = 1 << x
+        if toroidal:
+            up, down = 1 << (x + 1) % n, 1 << (x - 1) % n
+        else:
+            up, down = bit << 1 & full, bit >> 1
+        move = (x, bit, full & ~(bit | up | down), up, down)
+        table += [moves + (move,) for moves in table]
+    return table
+
+
 def _subtree(
     n: int,
     toroidal: bool,
@@ -144,39 +181,48 @@ def _subtree(
     When ``out`` is given, each solution's p is also appended to it.
     """
     full = (1 << n) - 1
-    rows = [1 << x for x in prefix] + [0] * (n - len(prefix))
+    last = n - 1
+    table = _moves(n, toroidal)
+    rows = list(prefix) + [0] * (n - len(prefix))
     nodes = len(prefix) - 1
 
-    # ``up`` arrives shifted up a row but not yet masked, ``down`` not yet
-    # shifted down, so that on the torus the bit leaving one edge can
-    # re-enter at the other.
-    def rec(y: int, cols: int, up: int, down: int) -> int:
+    # Entered with the nonempty ``free`` columns of row y and the diagonal
+    # attacks on row y; a child is searched only if it has a free column.
+    def rec(y: int, free: int, cols: int, up: int, down: int) -> int:
         nonlocal nodes
-        if y == n:
+        count = free.bit_count()
+        nodes += count
+        if y == last:
             if out is not None:
-                out.append(tuple(r.bit_length() - 1 for r in rows))
-            return 1
+                for move in table[free]:
+                    rows[y] = move[0]
+                    out.append(tuple(rows))
+            return count
         if toroidal:
-            up |= up >> n
-            down |= (down & 1) << n
-        down >>= 1
-        free = full & ~(cols | up | down)
-        if not free:
-            return 0
-        nodes += free.bit_count()
-        up &= full
+            up, down = (up << 1 | up >> last) & full, down >> 1 | (down & 1) << last
+        else:
+            # Bits shifted past column n - 1 are dropped by ``full`` below.
+            up, down = up << 1, down >> 1
+        base = full & ~(cols | up | down)
         total = 0
         y1 = y + 1
-        while free:
-            bit = free & -free
-            free ^= bit
-            rows[y] = bit
-            total += rec(y1, cols | bit, (up | bit) << 1, down | bit)
+        for x, bit, keep, to_up, to_down in table[free]:
+            child = base & keep
+            if child:
+                rows[y] = x
+                total += rec(y1, child, cols | bit, up | to_up, down | to_down)
         return total
 
-    cols, up, down = _attacks(n, toroidal, prefix)
-    # rec shifts ``down`` down a row on entry.
-    count = rec(len(prefix), cols, up, down << 1)
+    y = len(prefix)
+    if y == n:
+        # A full-length prefix (n = 1) is itself the one solution.
+        if out is not None:
+            out.append(tuple(rows))
+        count = 1
+    else:
+        cols, up, down = _attacks(n, toroidal, prefix)
+        free = full & ~(cols | up | down)
+        count = rec(y, free, cols, up, down) if free else 0
     del rec  # rec holds itself through its closure; this breaks the cycle
     return count, nodes
 

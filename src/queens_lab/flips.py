@@ -23,10 +23,12 @@ The kernels work on row quadruples (y1, y2, y3, y4), the companion rows
 taken from one rule, ``_companions``; ``_flip`` checks a quadruple's
 balance and builds its ``Flip`` only where one is returned.  One scan of
 the unoccupied squares, column by column, meets the flips in canonical-id
-order.  ``enumerate_flips`` builds all it yields, refusing more than the
-"edges" cap first; both selections keep quadruples through ``_keep``,
-which marks their rows in a ``used`` bytearray, so the scan yields only
-flips disjoint from those.  Seeded selection draws uniform unoccupied
+order.  ``_all_flips`` runs the whole scan once the "edges" cap allows
+it and checks that it met n(n-1)/4 flips: ``enumerate_flips`` builds a
+``Flip`` of each, and ``hypergraph.build_flip_hg`` takes just the
+balance-checked sorted rows (``_sorted_rows``).  Both selections keep
+quadruples through ``_keep``, which marks their rows in a ``used``
+bytearray, so the scan yields only flips disjoint from those.  Seeded selection draws uniform unoccupied
 squares; each flip owns four, so a kept draw is uniform over the free flips.
 """
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .construction import BaseParams
 from .core import QueensConfig, Square, is_toroidal
@@ -95,6 +97,7 @@ class FlipSet:
 
 
 Rows = tuple[int, int, int, int]
+T = TypeVar("T")
 
 
 def _companions(params: BaseParams, y1: int) -> tuple[int, int, int]:
@@ -179,10 +182,24 @@ def enumerate_flips(params: BaseParams) -> list[Flip]:
     More flips than the "edges" cap raise SizeLimitError before any
     square is visited.
     """
+    return _all_flips(params, _flip)
+
+
+def _sorted_rows(params: BaseParams, rows: Rows) -> tuple[int, ...]:
+    """The rows of the quadruple ``rows`` in increasing order, once its
+    balance is verified: the flip's removed queens, without its ``Flip``."""
+    _verify_balance(params, *rows)
+    return tuple(sorted(rows))
+
+
+def _all_flips(params: BaseParams, build: Callable[[BaseParams, Rows], T]) -> list[T]:
+    """``build(params, rows)`` for each of the n(n-1)/4 flip quadruples, in
+    canonical-id order; more than the "edges" cap raise SizeLimitError
+    before any square is visited."""
     n = params.n
     count = n * (n - 1) // 4
     check_cap("edges", count, f"flip enumeration at k = {params.k} ({count} flips)")
-    flips = [_flip(params, rows) for rows in _free_flips(params, bytearray(n))]
+    flips = [build(params, rows) for rows in _free_flips(params, bytearray(n))]
     if len(flips) != count:
         raise InternalConsistencyError(f"expected {count} flips, found {len(flips)}")
     return flips

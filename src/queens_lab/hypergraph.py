@@ -218,10 +218,10 @@ def build_flip_hg(k: int) -> Hypergraph:
     it is kept as a regularity and codegree test case.
     """
     from .construction import BaseParams
-    from .flips import enumerate_flips
+    from .flips import _all_flips, _sorted_rows
 
     params = BaseParams(k)
-    edges = tuple(tuple(sorted(f.rows)) for f in enumerate_flips(params))
+    edges = tuple(_all_flips(params, _sorted_rows))
     return Hypergraph(params.n, edges)
 
 

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 from itertools import permutations
 
@@ -331,3 +332,37 @@ def test_recursive_searches_leave_no_reference_cycles(call):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# sha256 of repr([config.p for config in enumerate_solutions(n, mode)]),
+# taken from the search before it read its moves from a table.
+ENUMERATION_DIGESTS = {
+    ("classical", 9): "66cae8a45faaee5e349535f7d31728cd58cd868bd129155a830ba15394fbf3a5",
+    ("classical", 10): "964a968b7f5fa12c0f1aa6cecca14301d84c78f11259016bc935f6a38628fab9",
+    ("classical", 11): "2a7b27f1cd6029d933424926d666cda5426b5b99fb32bd26ea1e1a9c1830a4a6",
+    ("classical", 12): "491c1d106ffe3fbc9fe6e2e2ccd3f62056c4995021c34003d6e0f9418e8e7b59",
+    ("toroidal", 11): "e6d89c797f283548f809d214b46342d1d4d8ea21422752b82d0c8dd2dc8596ba",
+    ("toroidal", 13): "2456ecc8d4531f9d2d01b9d774b38d36c45219f459ac11fd429c1431d992f14a",
+}
+
+
+@pytest.mark.parametrize("mode, n", list(ENUMERATION_DIGESTS))
+def test_enumeration_digest_pinned(mode, n):
+    boards = [config.p for config in enumerate_solutions(n, mode)]
+    digest = hashlib.sha256(repr(boards).encode()).hexdigest()
+    assert digest == ENUMERATION_DIGESTS[mode, n]
+
+
+@pytest.mark.parametrize("toroidal", [False, True], ids=["classical", "toroidal"])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_move_table_matches_the_attacks(n, toroidal):
+    table = counting._moves(n, toroidal)
+    assert len(table) == 1 << n
+    full = (1 << n) - 1
+    for mask, moves in enumerate(table):
+        assert [x for x, *_ in moves] == [x for x in range(n) if mask >> x & 1]
+        for x, bit, keep, up, down in moves:
+            cols, next_up, next_down = counting._attacks(n, toroidal, (x,))
+            assert (bit, up, down) == (cols, next_up, next_down)
+            assert keep == full & ~(cols | next_up | next_down)
+    assert counting._moves.cache_info().currsize == 1

@@ -5,7 +5,8 @@ from collections import Counter
 
 import pytest
 
-from queens_lab import errors, hypergraph
+from queens_lab import errors, flips, hypergraph
+from queens_lab.construction import BaseParams
 from queens_lab.counting import count_toroidal
 from queens_lab.errors import (
     InvalidHypergraphError,
@@ -202,6 +203,33 @@ def test_flip_hypergraph():
     s2 = stats(build_flip_hg(2))
     assert (s2.num_vertices, s2.num_edges, s2.d, s2.k) == (17, 68, 4, 16)
     assert s2.max_codegree == 3
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_flip_hypergraph_edges_are_the_rows_of_the_enumerated_flips(k):
+    expected = tuple(tuple(sorted(f.rows)) for f in flips.enumerate_flips(BaseParams(k)))
+    assert build_flip_hg(k).edges == expected
+
+
+def test_flip_hypergraph_checks_every_quadruple_and_builds_no_flip(monkeypatch):
+    checked = []
+    verify = flips._verify_balance
+
+    def counted(params, *rows):
+        checked.append(rows)
+        verify(params, *rows)
+
+    def refuse(params, rows):
+        raise AssertionError("Flip built")
+
+    monkeypatch.setattr(flips, "_verify_balance", counted)
+    monkeypatch.setattr(flips, "_flip", refuse)
+    assert len(build_flip_hg(2).edges) == len(set(checked)) == len(checked) == 68
+    checked.clear()
+    monkeypatch.setitem(errors.CAPS, "edges", 67)
+    with pytest.raises(SizeLimitError, match="68 flips"):
+        build_flip_hg(2)
+    assert checked == []
 
 
 @pytest.mark.parametrize(

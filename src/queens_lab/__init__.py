@@ -58,7 +58,6 @@ _EXPORTS = {
         "reconstruct_flips",
     ),
     "hypergraph": (
-        "BoundReport",
         "Hypergraph",
         "HypergraphStats",
         "build_flip_hg",

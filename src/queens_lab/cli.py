@@ -248,18 +248,18 @@ def _run_hg(args) -> Any:
             hg, threads=args.threads
         )
     if args.bound:
-        report = hypergraph.entropy_bound_log(hg_stats)
+        log_bound = hypergraph.entropy_bound_log(hg_stats)
         payload["bound"] = {
-            "log_bound": report.log_bound,
-            "formula": report.formula_name,
-            "num_vertices": report.num_vertices,
-            "k": report.k,
-            "d": report.d,
+            "log_bound": log_bound,
+            "formula": "regular-hypergraph-matching-bound",
+            "num_vertices": hg_stats.num_vertices,
+            "k": hg_stats.k,
+            "d": hg_stats.d,
         }
         # The ratio of logs flips sign with log_bound, so it needs log_bound > 0.
-        if args.count_pm and payload["perfect_matchings"] > 0 and report.log_bound > 0:
+        if args.count_pm and payload["perfect_matchings"] > 0 and log_bound > 0:
             payload["log_count_over_log_bound"] = (
-                math.log(payload["perfect_matchings"]) / report.log_bound
+                math.log(payload["perfect_matchings"]) / log_bound
             )
     return payload
 

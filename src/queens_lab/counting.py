@@ -81,6 +81,8 @@ def _check_mode(mode: str) -> None:
 
 
 def _check_size(n: int, entry: str) -> None:
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InvalidConfigError(f"board size must be an integer, got {n!r}")
     if n < 1:
         raise InvalidConfigError(f"board size must be >= 1, got {n}")
     check_cap(entry, n, f"board size {n}")

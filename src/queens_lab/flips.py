@@ -165,6 +165,8 @@ def flip_for_square(params: BaseParams, square: Square) -> Flip:
     """
     n, m = params.n, params.m
     x, y = square
+    if type(x) is not int or type(y) is not int:  # type, as True is an int too
+        raise FlipError(f"square {tuple(square)} must have integer coordinates")
     if not (0 <= x < n and 0 <= y < n):
         raise FlipError(f"square {tuple(square)} outside board of size {n}")
     y1 = (n - m) * x % n

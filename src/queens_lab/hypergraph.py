@@ -7,11 +7,14 @@ queens placements, Latin square transversals, Sudoku squares, Steiner
 systems, and decompositions of the flip structure itself.  The builders
 here produce those hypergraphs, ``stats`` measures (d, k, codegrees)
 exactly, ``count_perfect_matchings`` counts exact covers, and
-``entropy_bound_log`` evaluates the matching upper bound
-(k / e^(d-1))^(n/d) in log form.
+``entropy_bound_log`` returns the log of the matching upper bound
+(k / e^(d-1))^(n/d) as a float.  Vertex ids are plain ints: a float or
+bool vertex is refused when the hypergraph is built.
 
-The exact-cover search keeps the edges still usable as a bitmask over
-edge indices, ``alive``.  Each node branches on the uncovered vertex with
+The exact-cover search reads bitmask tables built straight from the
+edge lists: each edge's vertex set, the edges through each vertex, and
+the edges meeting each edge.  It keeps the edges still usable as a
+bitmask over edge indices, ``alive``.  Each node branches on the uncovered vertex with
 the fewest alive edges, the lowest id on ties (Knuth's column choice in
 *Dancing Links*, arXiv cs/0011047), and returns 0 as soon as some
 uncovered vertex has none; a child drops the edges meeting its chosen
@@ -78,6 +81,9 @@ class Hypergraph:
     def __post_init__(self):
         if self.num_vertices < 0:
             raise InvalidHypergraphError(f"negative vertex count {self.num_vertices}")
+        # One C-driven pass; bool is refused too, as True would stand for 1.
+        if not set(map(type, chain.from_iterable(self.edges))) <= {int}:
+            raise InvalidHypergraphError("vertex ids must be integers")
         edges = tuple(tuple(sorted(e)) for e in self.edges)
         object.__setattr__(self, "edges", edges)
         seen: set[tuple[int, ...]] = set()
@@ -101,17 +107,6 @@ class HypergraphStats:
     is_regular: bool
     k: int | None
     max_codegree: int
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Log of the matching upper bound, with the inputs that produced it."""
-
-    log_bound: float
-    formula_name: str
-    num_vertices: int
-    k: int
-    d: int
 
 
 def build_torus_queens_hg(n: int) -> Hypergraph:
@@ -272,16 +267,6 @@ def relabel_vertices(hg: Hypergraph, mapping: list[int]) -> Hypergraph:
     )
 
 
-def _edge_masks(hg: Hypergraph) -> list[int]:
-    masks = []
-    for e in hg.edges:
-        m = 0
-        for v in e:
-            m |= 1 << v
-        masks.append(m)
-    return masks
-
-
 class _CoverTables(NamedTuple):
     """What the exact-cover search reads, built once per instance.
 
@@ -296,21 +281,18 @@ class _CoverTables(NamedTuple):
     conflict: list[int]
 
 
-def _cover_tables(num_vertices: int, masks: list[int]) -> _CoverTables:
+def _cover_tables(num_vertices: int, edges: tuple[tuple[int, ...], ...]) -> _CoverTables:
     incident = [0] * num_vertices
-    for i, m in enumerate(masks):
-        edge = 1 << i
-        while m:
-            low = m & -m
-            incident[low.bit_length() - 1] |= edge
-            m ^= low
-    conflict = []
-    for m in masks:
-        c = 0
-        while m:
-            low = m & -m
-            c |= incident[low.bit_length() - 1]
-            m ^= low
+    for i, e in enumerate(edges):
+        for v in e:
+            incident[v] |= 1 << i
+    masks, conflict = [], []
+    for e in edges:
+        m = c = 0
+        for v in e:
+            m |= 1 << v
+            c |= incident[v]
+        masks.append(m)
         conflict.append(c)
     return _CoverTables((1 << num_vertices) - 1, masks, incident, conflict)
 
@@ -400,7 +382,7 @@ def count_perfect_matchings(hg: Hypergraph, threads: int = 1) -> int:
             f"vertices needs {bits} table bits, above the cap {limit}"
         )
     budget = cap("nodes")
-    tables = _cover_tables(hg.num_vertices, _edge_masks(hg))
+    tables = _cover_tables(hg.num_vertices, hg.edges)
     alive = (1 << num_edges) - 1
     first = _fewest_candidates(tables.incident, tables.full, alive)
     workers = min(threads, first.bit_count(), os.cpu_count() or 1)
@@ -427,7 +409,7 @@ def count_perfect_matchings(hg: Hypergraph, threads: int = 1) -> int:
     return count
 
 
-def entropy_bound_log(hg_stats: HypergraphStats) -> BoundReport:
+def entropy_bound_log(hg_stats: HypergraphStats) -> float:
     """Log of the perfect-matching upper bound (k / e^(d-1))^(n/d) for a
     d-uniform k-regular hypergraph on n vertices (vanishing-order factor
     dropped)."""
@@ -437,14 +419,8 @@ def entropy_bound_log(hg_stats: HypergraphStats) -> BoundReport:
         )
     if hg_stats.k is None or hg_stats.k < 1:
         raise IrregularHypergraphError(f"degree must be >= 1, got {hg_stats.k}")
-    n, d, k = hg_stats.num_vertices, hg_stats.d, hg_stats.k
-    return BoundReport(
-        log_bound=(n / d) * (log(k) - (d - 1)),
-        formula_name="regular-hypergraph-matching-bound",
-        num_vertices=n,
-        k=k,
-        d=d,
-    )
+    n, d = hg_stats.num_vertices, hg_stats.d
+    return (n / d) * (log(hg_stats.k) - (d - 1))
 
 
 def to_json(hg: Hypergraph) -> str:

@@ -275,8 +275,8 @@ def recording_pool(sizes: list):
     return Pool
 
 
-def cover_count(num_vertices: int, masks: list[int]) -> tuple[int, int]:
+def cover_count(num_vertices: int, edges) -> tuple[int, int]:
     """(count, nodes) of the package's serial exact-cover search over all
-    the edges ``masks``, with a budget it never reaches."""
-    tables = hypergraph._cover_tables(num_vertices, masks)
-    return hypergraph._cover_search(tables, 0, (1 << len(masks)) - 1, 10**9)
+    the vertex tuples ``edges``, with a budget it never reaches."""
+    tables = hypergraph._cover_tables(num_vertices, edges)
+    return hypergraph._cover_search(tables, 0, (1 << len(edges)) - 1, 10**9)

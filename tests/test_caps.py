@@ -119,8 +119,7 @@ def test_table_bits_cap():
 
 def test_nodes_cap_is_the_default_budget(monkeypatch):
     sudoku = hypergraph.build_sudoku_hg(2)
-    masks = hypergraph._edge_masks(sudoku)
-    _, nodes = cover_count(sudoku.num_vertices, masks)
+    _, nodes = cover_count(sudoku.num_vertices, sudoku.edges)
     monkeypatch.setitem(errors.CAPS, "nodes", nodes)
     assert hypergraph.count_perfect_matchings(sudoku) == 288
     monkeypatch.setitem(errors.CAPS, "nodes", nodes - 1)

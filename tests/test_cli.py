@@ -222,6 +222,20 @@ def test_hg_bound_omits_ratio_below_log_bound_zero(capsys, tmp_path):
     assert "log_count_over_log_bound" not in payload
 
 
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("hg_sudoku_b2_bound", ["--family", "sudoku", "--params", '{"b":2}', "--stats"]),
+        ("hg_transversal_9_bound", ["--family", "transversal", "--params", '{"order":9}']),
+    ],
+)
+def test_hg_bound_matches_pinned_output(capsys, name, argv):
+    pinned = (Path(__file__).parent / "data" / f"{name}.json").read_text(encoding="utf-8")
+    code, out, _ = run(capsys, ["hg", *argv, "--count-pm", "--bound"])
+    assert code == 0
+    assert out == pinned
+
+
 def test_hg_emits_exchange_format(capsys, tmp_path):
     payload = run_json(capsys, ["hg", "--family", "transversal", "--params", '{"order":3}'])
     assert payload["n"] == 9

@@ -145,6 +145,21 @@ def test_size_caps():
         oracle_count(11, "classical")
 
 
+@pytest.mark.parametrize(
+    "call,args",
+    [
+        (count_classical, (True,)),
+        (count_classical, (2.0,)),
+        (enumerate_solutions, (3.0, "classical")),
+        (oracle_counts, (3.5, ("classical", "toroidal"))),
+    ],
+    ids=["count-bool", "count-float", "enumerate-float", "oracle-float"],
+)
+def test_non_int_board_size_is_refused(call, args):
+    with pytest.raises(InvalidConfigError, match="must be an integer"):
+        call(*args)
+
+
 def test_env_cap_override(monkeypatch):
     monkeypatch.setenv("QUEENS_LAB_CAP", "6")
     with pytest.raises(SizeLimitError):

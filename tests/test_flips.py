@@ -70,6 +70,12 @@ def test_flip_for_square_occupied():
         flip_for_square(P1, Square(5, 0))
 
 
+@pytest.mark.parametrize("square", [(1.5, 2), (True, 2), (0, 1.0)])
+def test_flip_for_square_refuses_non_int_coordinates(square):
+    with pytest.raises(FlipError, match="integer coordinates"):
+        flip_for_square(P1, square)
+
+
 @pytest.mark.parametrize("params,expected", [(P1, 5), (P2, 68), (P3, 1040)])
 def test_flip_count_formula(params, expected):
     assert len(enumerate_flips(params)) == expected

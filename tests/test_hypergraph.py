@@ -53,6 +53,22 @@ def test_container_validation():
     assert hg.edges == ((0, 1, 2),)
 
 
+def test_float_vertex_is_refused_before_any_count():
+    with pytest.raises(InvalidHypergraphError, match="vertex ids must be integers"):
+        count_perfect_matchings(Hypergraph(2, ((0, 1.0),)))
+
+
+def test_relabelling_to_a_float_vertex_is_refused():
+    # 7.0 == 7, so the mapping passes the permutation check.
+    with pytest.raises(InvalidHypergraphError, match="vertex ids must be integers"):
+        relabel_vertices(build_torus_queens_hg(2), [0, 1, 2, 3, 4, 5, 6, 7.0])
+
+
+def test_bool_vertex_does_not_stand_for_its_int():
+    with pytest.raises(InvalidHypergraphError, match="vertex ids must be integers"):
+        Hypergraph(2, ((0,), (True,)))
+
+
 def test_torus_stats():
     s = stats(build_torus_queens_hg(5))
     assert (s.num_vertices, s.num_edges, s.d, s.k) == (20, 25, 4, 5)
@@ -313,9 +329,8 @@ def _outcome(hg, max_nodes, threads):
 
 @pytest.mark.parametrize("hg", [build_sudoku_hg(2), build_torus_queens_hg(5)])
 def test_matching_budget_does_not_depend_on_threads(hg):
-    masks = hypergraph._edge_masks(hg)
-    _, serial_nodes = cover_count(hg.num_vertices, masks)
-    first_level = sum(m & 1 for m in masks)
+    _, serial_nodes = cover_count(hg.num_vertices, hg.edges)
+    first_level = sum(e[0] == 0 for e in hg.edges)
     budgets = {0, first_level - 1, first_level, 2000}
     budgets |= {serial_nodes - 1, serial_nodes, serial_nodes + 1}
     for max_nodes in sorted(budgets):
@@ -336,12 +351,11 @@ def _irregular_torus():
 
 def test_pool_splits_on_the_serial_root_vertex():
     hg = _irregular_torus()
-    masks = hypergraph._edge_masks(hg)
-    tables = hypergraph._cover_tables(hg.num_vertices, masks)
-    first = hypergraph._fewest_candidates(tables.incident, tables.full, (1 << len(masks)) - 1)
+    tables = hypergraph._cover_tables(hg.num_vertices, hg.edges)
+    first = hypergraph._fewest_candidates(tables.incident, tables.full, (1 << len(hg.edges)) - 1)
     assert first == tables.incident[1] != tables.incident[0]
     first_level = first.bit_count()
-    count, serial_nodes = cover_count(hg.num_vertices, masks)
+    count, serial_nodes = cover_count(hg.num_vertices, hg.edges)
     assert count == count_perfect_matchings(hg) >= 10
     budgets = {0, first_level - 1, first_level, first_level + 1, serial_nodes // 2}
     budgets |= {serial_nodes - 1, serial_nodes, serial_nodes + 1}
@@ -354,36 +368,59 @@ def test_pool_splits_on_the_serial_root_vertex():
             assert serial == count
 
 
-@pytest.mark.parametrize(
-    "hg",
-    [
-        build_torus_queens_hg(7),
-        build_sudoku_hg(2),
-        build_transversal_hg(cyclic_latin_square(5)),
-        build_steiner_aux_hg(9, 3, 2),
-    ],
-    ids=["torus-7", "sudoku-2", "transversal-5", "steiner-9-3-2"],
-)
-def test_cover_search_does_not_depend_on_edge_order(hg):
-    masks = hypergraph._edge_masks(hg)
-    expected = cover_count(hg.num_vertices, masks)
-    for seed in range(5):
-        shuffled = masks[:]
-        random.Random(seed).shuffle(shuffled)
-        assert cover_count(hg.num_vertices, shuffled) == expected
-
-
-def _random_hypergraph(rng):
-    """Up to 9 vertices and 14 distinct edges of sizes 1 to 4 (uniform for
-    some seeds); vertices in no edge stay isolated."""
-    num_vertices = rng.randint(1, 9)
+def _random_hypergraph(rng, max_vertices=9, max_edges=14):
+    """Up to ``max_vertices`` vertices and ``max_edges`` distinct edges of
+    sizes 1 to 4 (uniform for some seeds); vertices in no edge stay
+    isolated."""
+    num_vertices = rng.randint(1, max_vertices)
     sizes = [rng.randint(1, min(4, num_vertices))] if rng.random() < 0.3 else range(1, 5)
     sizes = [d for d in sizes if d <= num_vertices]
     edges = {
         tuple(sorted(rng.sample(range(num_vertices), rng.choice(sizes))))
-        for _ in range(rng.randint(0, 14))
+        for _ in range(rng.randint(0, max_edges))
     }
     return Hypergraph(num_vertices, tuple(sorted(edges)))
+
+
+def _assert_tables_match_their_definition(num_vertices, edges):
+    """Each table entry recomputed from the edge sets, one pair at a time."""
+    tables = hypergraph._cover_tables(num_vertices, edges)
+    assert tables.full == (1 << num_vertices) - 1
+    assert tables.masks == [sum(1 << v for v in e) for e in edges]
+    assert tables.incident == [
+        sum(1 << i for i, e in enumerate(edges) if v in e) for v in range(num_vertices)
+    ]
+    assert tables.conflict == [
+        sum(1 << j for j, f in enumerate(edges) if set(e) & set(f)) for e in edges
+    ]
+
+
+_NAMED_COVER_CASES = {
+    "torus-7": build_torus_queens_hg(7),
+    "sudoku-2": build_sudoku_hg(2),
+    "transversal-5": build_transversal_hg(cyclic_latin_square(5)),
+    "steiner-9-3-2": build_steiner_aux_hg(9, 3, 2),
+}
+_RANDOM_COVER_CASES = {
+    f"random-{seed}": _random_hypergraph(random.Random(seed), 12, 20) for seed in range(50)
+}
+
+
+@pytest.mark.parametrize(
+    "hg",
+    [*_NAMED_COVER_CASES.values(), *_RANDOM_COVER_CASES.values()],
+    ids=[*_NAMED_COVER_CASES, *_RANDOM_COVER_CASES],
+)
+def test_cover_search_does_not_depend_on_edge_order(hg):
+    _assert_tables_match_their_definition(hg.num_vertices, hg.edges)
+    expected = cover_count(hg.num_vertices, hg.edges)
+    if len(hg.edges) <= 20:  # brute force tries every edge subset
+        assert expected[0] == brute_force_perfect_matchings(hg.num_vertices, hg.edges)
+    for seed in range(5):
+        shuffled = list(hg.edges)
+        random.Random(seed).shuffle(shuffled)
+        _assert_tables_match_their_definition(hg.num_vertices, shuffled)
+        assert cover_count(hg.num_vertices, shuffled) == expected
 
 
 def test_matching_counts_match_brute_force():
@@ -391,8 +428,7 @@ def test_matching_counts_match_brute_force():
     for seed in range(300):
         hg = _random_hypergraph(random.Random(seed))
         expected = brute_force_perfect_matchings(hg.num_vertices, hg.edges)
-        masks = hypergraph._edge_masks(hg)
-        assert cover_count(hg.num_vertices, masks)[0] == expected
+        assert cover_count(hg.num_vertices, hg.edges)[0] == expected
         assert count_perfect_matchings(hg) == expected
         s = stats(hg)
         seen["matched"] += expected > 0
@@ -438,13 +474,14 @@ def test_isolated_vertex_has_none():
 
 
 def test_entropy_bound_values():
-    torus = entropy_bound_log(stats(build_torus_queens_hg(5)))
-    assert torus.log_bound == pytest.approx(5.0 * (math.log(5) - 3.0))
-    assert (torus.num_vertices, torus.k, torus.d) == (20, 5, 4)
+    torus_stats = stats(build_torus_queens_hg(5))
+    torus = entropy_bound_log(torus_stats)
+    assert torus == pytest.approx(5.0 * (math.log(5) - 3.0))
+    assert (torus_stats.num_vertices, torus_stats.k, torus_stats.d) == (20, 5, 4)
     steiner = entropy_bound_log(stats(build_steiner_aux_hg(7, 3, 2)))
-    assert steiner.log_bound == pytest.approx(7.0 * (math.log(5) - 2.0))
+    assert steiner == pytest.approx(7.0 * (math.log(5) - 2.0))
     singletons = entropy_bound_log(stats(Hypergraph(3, ((0,), (1,), (2,)))))
-    assert singletons.log_bound == 0.0
+    assert singletons == 0.0
 
 
 def test_entropy_bound_requires_regular():
@@ -465,7 +502,7 @@ def test_exchange_roundtrip():
         from_json('{"n":2,"edges":[["a"]]}')
 
 
-@pytest.mark.parametrize("edges", ["[[false,true]]", "[[0,true]]"])
+@pytest.mark.parametrize("edges", ["[[false,true]]", "[[0,true]]", "[[0,1.0]]"])
 def test_from_json_refuses_non_integer_vertex_ids(edges):
     with pytest.raises(InvalidHypergraphError, match='field "edges": must be an array of integer arrays'):
         from_json('{"n":2,"edges":%s}' % edges)

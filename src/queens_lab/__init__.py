@@ -49,10 +49,8 @@ _EXPORTS = {
         "Flip",
         "FlipSet",
         "apply_flips",
-        "companion_pair",
         "enumerate_flips",
         "flip_for_square",
-        "flips_disjoint",
         "greedy_disjoint_flips",
         "lower_bound_log_count",
         "reconstruct_flips",

@@ -37,9 +37,10 @@ counters' optional ``threads`` argument fans the tasks (~n^2 / 2
 classical, ~n / 2 toroidal) out to, and enumerate_solutions, which runs
 in-process and returns the set of the searched solutions' images under
 the same group, sorted.  Counts are weighted commutative sums and do not
-depend on the worker count.  The pool class is imported on the first
-fan-out, so a single-worker process never loads concurrent.futures or
-multiprocessing.
+depend on the worker count; a ``threads`` that is not an int >= 1 is
+refused with InvalidConfigError before the task list is built.  The pool
+class is imported on the first fan-out, so a single-worker process never
+loads concurrent.futures or multiprocessing.
 
 ``nodes_visited`` is the size of the full, unreduced row-by-row tree:
 every legal placement tried, the first row included.  It is computed
@@ -59,7 +60,7 @@ from itertools import permutations, repeat, tee
 
 from . import core
 from .core import QueensConfig
-from .errors import InvalidConfigError, check_cap
+from .errors import InvalidConfigError, check_cap, check_threads
 
 MODES = ("classical", "toroidal")
 
@@ -231,6 +232,7 @@ def _subtree(
 
 def _count(n: int, mode: str, threads: int) -> CountResult:
     _check_size(n, "count")
+    check_threads(threads)
     toroidal = mode == "toroidal"
     tasks = _tasks(n, toroidal)
     prefixes = [prefix for prefix, _ in tasks]

@@ -79,6 +79,12 @@ def check_cap(name: str, size: int, what: str) -> None:
         raise SizeLimitError(f"{what} exceeds {_CAP_NAMES.get(name, 'cap')} {limit}")
 
 
+def check_threads(threads: int) -> None:
+    """Refuse a worker count that is not an int >= 1, bool included."""
+    if type(threads) is not int or threads < 1:
+        raise InvalidConfigError(f"threads must be an integer >= 1, got {threads!r}")
+
+
 class FlipError(QueensLabError):
     """A flip operation was applied outside its domain."""
 

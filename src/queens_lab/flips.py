@@ -20,16 +20,18 @@ whose one constructor ``BaseParams(k)`` derives n, m and (m + 1)^-1 from k
 and refuses boards above the "board" cap.
 
 The kernels work on row quadruples (y1, y2, y3, y4), the companion rows
-taken from one rule, ``_companions``; ``_flip`` checks a quadruple's
-balance and builds its ``Flip`` only where one is returned.  One scan of
+taken from one rule, ``_companions``.  ``_verify_balance`` is the one
+balance check and returns the quadruple it checked; ``_flip`` builds a
+``Flip`` from that return value, only where one is returned.  One scan of
 the unoccupied squares, column by column, meets the flips in canonical-id
 order.  ``_all_flips`` runs the whole scan once the "edges" cap allows
 it and checks that it met n(n-1)/4 flips: ``enumerate_flips`` builds a
 ``Flip`` of each, and ``hypergraph.build_flip_hg`` takes just the
-balance-checked sorted rows (``_sorted_rows``).  Both selections keep
-quadruples through ``_keep``, which marks their rows in a ``used``
-bytearray, so the scan yields only flips disjoint from those.  Seeded selection draws uniform unoccupied
-squares; each flip owns four, so a kept draw is uniform over the free flips.
+balance-checked quadruples.  Both selections keep quadruples through
+``_keep``, which marks their rows in a ``used`` bytearray, so the scan
+yields only flips disjoint from those.  Seeded selection draws uniform
+unoccupied squares; each flip owns four, so a kept draw is uniform over
+the free flips.
 """
 
 from __future__ import annotations
@@ -115,21 +117,12 @@ def _rows(params: BaseParams, y1: int, y: int) -> Rows:
     return y1, y, (a * y + b) % n, (params.inv * y + c) % n
 
 
-def companion_pair(params: BaseParams, y1: int, y2: int) -> tuple[int, int]:
-    """Companion rows (y3, y4) for the pair (y1, y2); verifies the eight
-    diagonal balance equations before returning."""
-    n = params.n
-    if y1 % n == y2 % n:
-        raise FlipError(f"companion pair requires distinct rows, got {y1} and {y2}")
-    rows = _rows(params, y1 % n, y2 % n)
-    _verify_balance(params, *rows)
-    return rows[2], rows[3]
-
-
-def _verify_balance(params: BaseParams, y1: int, y2: int, y3: int, y4: int) -> None:
+def _verify_balance(params: BaseParams, rows: Rows) -> Rows:
+    """``rows``, once the eight diagonal balance equations hold for it."""
     # The eight equations say each vacated diagonal is re-covered by an
     # added square: they must hold identically, so a failure is a bug.
     n, m = params.n, params.m
+    y1, y2, y3, y4 = rows
     x1, x2, x3, x4 = ((m * y) % n for y in (y1, y2, y3, y4))
     equations = (
         x1 + y1 - x3 - y4,
@@ -145,11 +138,12 @@ def _verify_balance(params: BaseParams, y1: int, y2: int, y3: int, y4: int) -> N
         raise InternalConsistencyError(
             f"diagonal balance failed for rows ({y1}, {y2}, {y3}, {y4}) at n = {n}"
         )
+    return rows
 
 
 def _flip(params: BaseParams, rows: Rows) -> Flip:
     """The flip on the quadruple ``rows``, built once its balance is verified."""
-    _verify_balance(params, *rows)
+    rows = _verify_balance(params, rows)
     n, m = params.n, params.m
     removed = tuple(Square(m * y % n, y) for y in sorted(rows))
     # Each row takes the base column of its partner in (y1, y2) or (y3, y4).
@@ -185,13 +179,6 @@ def enumerate_flips(params: BaseParams) -> list[Flip]:
     square is visited.
     """
     return _all_flips(params, _flip)
-
-
-def _sorted_rows(params: BaseParams, rows: Rows) -> tuple[int, ...]:
-    """The rows of the quadruple ``rows`` in increasing order, once its
-    balance is verified: the flip's removed queens, without its ``Flip``."""
-    _verify_balance(params, *rows)
-    return tuple(sorted(rows))
 
 
 def _all_flips(params: BaseParams, build: Callable[[BaseParams, Rows], T]) -> list[T]:
@@ -237,11 +224,6 @@ def _free_flips(params: BaseParams, used: bytearray) -> Iterator[Rows]:
                 break
 
 
-def flips_disjoint(f1: Flip, f2: Flip) -> bool:
-    """True when the two flips share no removed queen."""
-    return not (f1.rows & f2.rows)
-
-
 def greedy_disjoint_flips(params: BaseParams, t: int, seed: int | None = None) -> FlipSet:
     """Greedily pick t pairwise-disjoint flips.
 
@@ -263,6 +245,8 @@ def greedy_disjoint_flips(params: BaseParams, t: int, seed: int | None = None) -
     achieved.  Disjoint flips remove 4t distinct queens of the n, so
     t > floor(n/4) is refused with FlipError before any square is drawn.
     """
+    if type(t) is not int:  # type, as True is an int too
+        raise FlipError(f"t must be an integer, got {t!r}")
     if t < 0:
         raise FlipError(f"t must be >= 0, got {t}")
     if 4 * t > params.n:
@@ -355,22 +339,22 @@ def reconstruct_flips(base: QueensConfig, modified: QueensConfig) -> FlipSet:
 
     Every displaced queen sits on an added square of exactly one flip, so
     scanning displaced rows and re-deriving each queen's flip either
-    reproduces the set or proves the board unreachable.
+    reproduces the set or proves the board unreachable.  A kept flip's
+    added squares all match the board, and each unoccupied square is added
+    by exactly one flip, so no later flip can share a row with it.
     """
     params = _require_base(base)
     if modified.n != base.n:
         raise FlipError(f"board sizes differ: {base.n} vs {modified.n}")
-    displaced = [y for y in range(base.n) if base.p[y] != modified.p[y]]
-    displaced_set = set(displaced)
     consumed: set[int] = set()
-    flips: dict[Square, Flip] = {}
-    for y in displaced:
-        if y in consumed:
+    flips: list[Flip] = []
+    for y in range(base.n):
+        if y in consumed or modified.p[y] == base.p[y]:
             continue
         queen = Square(modified.p[y], y)
         flip = flip_for_square(params, queen)
         for x2, y2 in flip.added:
-            if y2 not in displaced_set:
+            if modified.p[y2] == base.p[y2]:
                 raise ReconstructionError(
                     queen, f"its flip needs row {y2} displaced, but row {y2} is unchanged"
                 )
@@ -379,11 +363,9 @@ def reconstruct_flips(base: QueensConfig, modified: QueensConfig) -> FlipSet:
                     queen,
                     f"its flip places column {x2} in row {y2}, found {modified.p[y2]}",
                 )
-        if consumed & flip.rows:
-            raise ReconstructionError(queen, "its flip overlaps an earlier flip")
         consumed |= flip.rows
-        flips[flip.canonical_id] = flip
-    return FlipSet(flips=tuple(flips.values()))
+        flips.append(flip)
+    return FlipSet(flips=tuple(flips))
 
 
 def lower_bound_log_count(n: int) -> float:
@@ -398,6 +380,8 @@ def lower_bound_log_count(n: int) -> float:
     with InvalidConfigError, and a board above the "board" cap with
     SizeLimitError.  Returns 0.0 at n = 5 (no steps).
     """
+    if type(n) is not int:  # type, as True is an int too
+        raise FlipError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise FlipError(f"n must be >= 1, got {n}")
     BaseParams.from_board_size(n)

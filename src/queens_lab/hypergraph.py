@@ -8,8 +8,8 @@ systems, and decompositions of the flip structure itself.  The builders
 here produce those hypergraphs, ``stats`` measures (d, k, codegrees)
 exactly, ``count_perfect_matchings`` counts exact covers, and
 ``entropy_bound_log`` returns the log of the matching upper bound
-(k / e^(d-1))^(n/d) as a float.  Vertex ids are plain ints: a float or
-bool vertex is refused when the hypergraph is built.
+(k / e^(d-1))^(n/d) as a float.  The vertex count and vertex ids are
+plain ints: a float or bool one is refused when the hypergraph is built.
 
 The exact-cover search reads bitmask tables built straight from the
 edge lists: each edge's vertex set, the edges through each vertex, and
@@ -49,6 +49,7 @@ from .errors import (
     SizeLimitError,
     cap,
     check_cap,
+    check_threads,
 )
 
 # concurrent.futures.ProcessPoolExecutor, imported on the first fan-out.
@@ -79,6 +80,8 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if type(self.num_vertices) is not int:  # type, as True is an int too
+            raise InvalidHypergraphError(f"vertex count {self.num_vertices!r} is not an integer")
         if self.num_vertices < 0:
             raise InvalidHypergraphError(f"negative vertex count {self.num_vertices}")
         # One C-driven pass; bool is refused too, as True would stand for 1.
@@ -213,10 +216,10 @@ def build_flip_hg(k: int) -> Hypergraph:
     it is kept as a regularity and codegree test case.
     """
     from .construction import BaseParams
-    from .flips import _all_flips, _sorted_rows
+    from .flips import _all_flips, _verify_balance
 
     params = BaseParams(k)
-    edges = tuple(_all_flips(params, _sorted_rows))
+    edges = tuple(_all_flips(params, _verify_balance))
     return Hypergraph(params.n, edges)
 
 
@@ -366,8 +369,10 @@ def count_perfect_matchings(hg: Hypergraph, threads: int = 1) -> int:
     candidates plus the subtree nodes are the serial node count, and the
     budget applies to that total: a subtree's overrun or a larger total
     raises the serial error, so the result or error does not depend on
-    ``threads``.
+    ``threads``.  A ``threads`` that is not an int >= 1 is refused with
+    InvalidConfigError before anything is searched.
     """
+    check_threads(threads)
     if hg.num_vertices == 0:
         return 1
     size_gcd = gcd(*map(len, hg.edges))

@@ -107,7 +107,7 @@ def _board_checks(bases: dict, full: bool) -> list[dict]:
         )
         bound = 4 * (n - 1)
         intersect_ok[k] = all(
-            sum(1 for g in all_flips if g is not f and not flips.flips_disjoint(f, g))
+            sum(1 for g in all_flips if g is not f and not f.rows.isdisjoint(g.rows))
             <= bound
             for f in all_flips
         )

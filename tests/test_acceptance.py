@@ -33,7 +33,6 @@ from queens_lab.flips import (
     FlipSet,
     apply_flips,
     enumerate_flips,
-    flips_disjoint,
     greedy_disjoint_flips,
     reconstruct_flips,
 )
@@ -126,7 +125,7 @@ def test_criterion_4_flip_algebra():
         all_flips = enumerate_flips(params)
         bound = 4 * (params.n - 1)
         for f in all_flips:
-            hits = sum(1 for g in all_flips if g is not f and not flips_disjoint(f, g))
+            hits = sum(1 for g in all_flips if g is not f and not f.rows.isdisjoint(g.rows))
             if hits > bound:
                 intersection_ok = False
 

@@ -225,13 +225,24 @@ def test_hg_bound_omits_ratio_below_log_bound_zero(capsys, tmp_path):
 @pytest.mark.parametrize(
     "name,argv",
     [
-        ("hg_sudoku_b2_bound", ["--family", "sudoku", "--params", '{"b":2}', "--stats"]),
-        ("hg_transversal_9_bound", ["--family", "transversal", "--params", '{"order":9}']),
+        (
+            "hg_sudoku_b2_bound",
+            ["--family", "sudoku", "--params", '{"b":2}', "--stats", "--count-pm", "--bound"],
+        ),
+        (
+            "hg_transversal_9_bound",
+            ["--family", "transversal", "--params", '{"order":9}', "--count-pm", "--bound"],
+        ),
+        ("hg_flip_k2", ["--family", "flip", "--params", '{"k":2}']),
+        (
+            "hg_flip_k3_bound",
+            ["--family", "flip", "--params", '{"k":3}', "--stats", "--count-pm", "--bound"],
+        ),
     ],
 )
 def test_hg_bound_matches_pinned_output(capsys, name, argv):
     pinned = (Path(__file__).parent / "data" / f"{name}.json").read_text(encoding="utf-8")
-    code, out, _ = run(capsys, ["hg", *argv, "--count-pm", "--bound"])
+    code, out, _ = run(capsys, ["hg", *argv])
     assert code == 0
     assert out == pinned
 

@@ -160,6 +160,21 @@ def test_non_int_board_size_is_refused(call, args):
         call(*args)
 
 
+@pytest.mark.parametrize("threads", [2.0, 1.5, 0, -2, True])
+@pytest.mark.parametrize("count", [count_classical, count_toroidal])
+def test_threads_must_be_a_positive_int(monkeypatch, count, threads):
+    sizes = []
+
+    def refuse(*args):
+        raise AssertionError("task list built")
+
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", recording_pool(sizes))
+    monkeypatch.setattr(counting, "_tasks", refuse)
+    with pytest.raises(InvalidConfigError, match="threads must be an integer >= 1"):
+        count(6, threads=threads)
+    assert sizes == []
+
+
 def test_env_cap_override(monkeypatch):
     monkeypatch.setenv("QUEENS_LAB_CAP", "6")
     with pytest.raises(SizeLimitError):

@@ -21,10 +21,8 @@ from queens_lab.flips import (
     Flip,
     FlipSet,
     apply_flips,
-    companion_pair,
     enumerate_flips,
     flip_for_square,
-    flips_disjoint,
     greedy_disjoint_flips,
     lower_bound_log_count,
     reconstruct_flips,
@@ -38,22 +36,17 @@ P3 = BaseParams(3)
 
 
 def test_companion_pair_examples():
-    assert companion_pair(P1, 0, 1) == (4, 2)
-    assert companion_pair(P1, 1, 0) == (2, 4)
-    assert companion_pair(P2, 0, 1) == (11, 7)
+    assert flips._rows(P1, 0, 1) == (0, 1, 4, 2)
+    assert flips._rows(P1, 1, 0) == (1, 0, 2, 4)
+    assert flips._rows(P2, 0, 1) == (0, 1, 11, 7)
 
 
 def test_companion_pair_is_involution():
     for y1 in range(P2.n):
         for y2 in range(y1 + 1, P2.n):
-            y3, y4 = companion_pair(P2, y1, y2)
+            _, _, y3, y4 = flips._rows(P2, y1, y2)
             assert {y3, y4}.isdisjoint({y1, y2})
-            assert set(companion_pair(P2, y3, y4)) == {y1, y2}
-
-
-def test_companion_pair_requires_distinct_rows():
-    with pytest.raises(FlipError):
-        companion_pair(P1, 2, 2)
+            assert set(flips._rows(P2, y3, y4)[2:]) == {y1, y2}
 
 
 def test_flip_for_square_example():
@@ -116,14 +109,14 @@ def test_single_flip_boards_are_valid(params):
 
 def test_flips_disjoint():
     all_flips = enumerate_flips(P1)
-    assert not flips_disjoint(all_flips[0], all_flips[0])
+    assert not all_flips[0].rows.isdisjoint(all_flips[0].rows)
     # Each k=1 flip uses 4 of the 5 queens, so any two must overlap.
     for f in all_flips:
         for g in all_flips:
             if f is not g:
-                assert not flips_disjoint(f, g)
+                assert not f.rows.isdisjoint(g.rows)
     pair = greedy_disjoint_flips(P2, 2)
-    assert flips_disjoint(pair.flips[0], pair.flips[1])
+    assert pair.flips[0].rows.isdisjoint(pair.flips[1].rows)
 
 
 @pytest.mark.parametrize("params", [P1, P2])
@@ -131,7 +124,7 @@ def test_intersection_bound(params):
     all_flips = enumerate_flips(params)
     bound = 4 * (params.n - 1)
     for f in all_flips:
-        hits = sum(1 for g in all_flips if g is not f and not flips_disjoint(f, g))
+        hits = sum(1 for g in all_flips if g is not f and not f.rows.isdisjoint(g.rows))
         assert hits <= bound
 
 
@@ -181,6 +174,20 @@ def test_more_flips_than_a_quarter_of_the_queens_are_refused_at_once(monkeypatch
         with pytest.raises(FlipError, match="more than the") as info:
             greedy_disjoint_flips(params, params.n // 4 + 1, seed=seed)
         assert type(info.value) is FlipError
+
+
+@pytest.mark.parametrize("t", [2.5, True])
+@pytest.mark.parametrize("seed", [None, 0])
+def test_greedy_refuses_a_non_int_count(monkeypatch, t, seed):
+    # 2.5 would never equal the count kept, and True would stand for 1.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a flip was drawn or scanned")
+
+    monkeypatch.setattr(flips, "_free_flips", refuse)
+    monkeypatch.setattr(flips, "_sampled_disjoint", refuse)
+    with pytest.raises(FlipError, match="t must be an integer") as info:
+        greedy_disjoint_flips(P2, t, seed=seed)
+    assert type(info.value) is FlipError
 
 
 def test_flipset_rejects_overlap():
@@ -286,6 +293,44 @@ def test_reconstruct_rejects_unreachable_board():
         reconstruct_flips(base, QueensConfig(n=5, p=tuple(p)))
 
 
+def _disjoint_sets(all_flips, start=0, used=frozenset()):
+    """Every pairwise-disjoint subset of ``all_flips[start:]`` free of the
+    rows ``used``, each in list order, the empty set included."""
+    yield ()
+    for i in range(start, len(all_flips)):
+        flip = all_flips[i]
+        if not (used & flip.rows):
+            for rest in _disjoint_sets(all_flips, i + 1, used | flip.rows):
+                yield (flip, *rest)
+
+
+def test_reconstruct_roundtrip_every_disjoint_set_at_k2():
+    base = build_base_config(2)
+    sets = list(_disjoint_sets(enumerate_flips(P2)))
+    assert len(sets) == 1548
+    for chosen in sets:
+        flip_set = FlipSet(flips=chosen)
+        assert reconstruct_flips(base, apply_flips(base, flip_set)) == flip_set
+
+
+@pytest.mark.parametrize(
+    "p, queen, message",
+    [
+        # Rows 0 and 1 of the base swapped: the flip of (2, 0) needs row 2.
+        ((2, 0, 4, 1, 3), (2, 0), "its flip needs row 2 displaced, but row 2 is unchanged"),
+        # Rows 0 and 2 of the flip board (2, 0, 3, 1, 4) swapped.
+        ((3, 0, 2, 1, 4), (3, 0), "its flip places column 0 in row 4, found 4"),
+    ],
+)
+def test_reconstruct_refusal_messages(p, queen, message):
+    with pytest.raises(ReconstructionError) as info:
+        reconstruct_flips(build_base_config(1), QueensConfig(n=5, p=p))
+    assert type(info.value) is ReconstructionError
+    assert info.value.queen == Square(*queen)
+    assert info.value.message == message
+    assert str(info.value) == f"queen at {queen}: {message}"
+
+
 def test_lower_bound_log_values():
     assert lower_bound_log_count(17) == pytest.approx(math.log(68))
     expected = (
@@ -299,6 +344,13 @@ def test_lower_bound_log_small_boards():
     assert lower_bound_log_count(5) == 0.0
     with pytest.raises(FlipError):
         lower_bound_log_count(0)
+
+
+@pytest.mark.parametrize("n", [17.0, True])
+def test_lower_bound_log_refuses_a_non_int_board_size(n):
+    with pytest.raises(FlipError, match="n must be an integer") as info:
+        lower_bound_log_count(n)
+    assert type(info.value) is FlipError
 
 
 @pytest.mark.parametrize("n", [1, 4, 6, 15, 16, 18, 21, 33, 48, 64, 66])

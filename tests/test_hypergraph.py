@@ -9,6 +9,7 @@ from queens_lab import errors, flips, hypergraph
 from queens_lab.construction import BaseParams
 from queens_lab.counting import count_toroidal
 from queens_lab.errors import (
+    InvalidConfigError,
     InvalidHypergraphError,
     IrregularHypergraphError,
     SearchBudgetError,
@@ -56,6 +57,17 @@ def test_container_validation():
 def test_float_vertex_is_refused_before_any_count():
     with pytest.raises(InvalidHypergraphError, match="vertex ids must be integers"):
         count_perfect_matchings(Hypergraph(2, ((0, 1.0),)))
+
+
+@pytest.mark.parametrize(
+    "call, num_vertices, edges",
+    [(count_perfect_matchings, True, ((0,),)), (stats, 2.0, ((0, 1),))],
+    ids=["bool", "float"],
+)
+def test_vertex_count_must_be_a_plain_int(call, num_vertices, edges):
+    # True would stand for one vertex, and 2.0 for a list length.
+    with pytest.raises(InvalidHypergraphError, match="vertex count .* is not an integer"):
+        call(Hypergraph(num_vertices, edges))
 
 
 def test_relabelling_to_a_float_vertex_is_refused():
@@ -231,9 +243,9 @@ def test_flip_hypergraph_checks_every_quadruple_and_builds_no_flip(monkeypatch):
     checked = []
     verify = flips._verify_balance
 
-    def counted(params, *rows):
+    def counted(params, rows):
         checked.append(rows)
-        verify(params, *rows)
+        return verify(params, rows)
 
     def refuse(params, rows):
         raise AssertionError("Flip built")
@@ -506,6 +518,20 @@ def test_exchange_roundtrip():
 def test_from_json_refuses_non_integer_vertex_ids(edges):
     with pytest.raises(InvalidHypergraphError, match='field "edges": must be an array of integer arrays'):
         from_json('{"n":2,"edges":%s}' % edges)
+
+
+@pytest.mark.parametrize("threads", [1.5, 2.0, 0, -2, True])
+def test_matching_threads_must_be_a_positive_int(monkeypatch, threads):
+    sizes = []
+
+    def refuse(*args):
+        raise AssertionError("search tables built")
+
+    monkeypatch.setattr(hypergraph, "ProcessPoolExecutor", recording_pool(sizes))
+    monkeypatch.setattr(hypergraph, "_cover_tables", refuse)
+    with pytest.raises(InvalidConfigError, match="threads must be an integer >= 1"):
+        count_perfect_matchings(build_torus_queens_hg(5), threads=threads)
+    assert sizes == []
 
 
 def test_matching_pool_is_clamped_to_subtrees_and_cpus(monkeypatch):

@@ -23,8 +23,6 @@ _EXPORTS = {
         "concentric_sum",
         "diagonal_exposure",
         "diagonal_exposure_matrix",
-        "hypergraph_integral_check",
-        "log_poly_integral",
         "torus_bound_log",
     ),
     "construction": ("BaseParams", "build_base_config", "check_units"),
@@ -69,7 +67,7 @@ _EXPORTS = {
         "relabel_vertices",
         "stats",
     ),
-    "quadrature": ("QuadratureResult", "adaptive_simpson", "integrate"),
+    "quadrature": ("Enclosure", "QuadratureResult", "adaptive_simpson", "enclose"),
     "verify": ("run_verification_suite",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -6,11 +6,12 @@ classical solution, each non-queen position in a row is ruled out by 1,
 (by_three, by_two, by_one) always sum to n - 1, and the diagonal-pair
 total sum(2 * by_three + by_two) equals the summed diagonal exposure
 D(i, j) over the queens, a quantity constant on concentric square rings
-and bounded below by (5/4) n^2 - 6n.  The analytic side: quadrature
-cross-checks of the closed forms appearing in the entropy-style bounds,
-including the classical-board constant alpha = 3 - 2 sqrt(3/5) *
-arctan(sqrt(5/3)) ~ 1.5875 in Q(n) <= (n / e^alpha)^n, against its
-integral definition alpha = 1 - integral_0^1 log((5/8) x^2 + 3/8) dx.
+and bounded below by (5/4) n^2 - 6n.  The analytic side: the classical-
+board constant alpha = 3 - 2 sqrt(3/5) arctan(sqrt(5/3)) ~ 1.5875 in
+Q(n) <= (n / e^alpha)^n, by its closed form or by adaptive quadrature of
+its integral definition alpha = 1 - integral_0^1 log((5/8) x^2 + 3/8) dx,
+and the log bounds n (log n - c) built on it.  ``quadrature.enclose``
+gives certified ends for the bound integrals; verify's rows read it.
 
 All finite-n comparisons against actual counts are reports, never
 assertions: the bounds hold asymptotically, with a vanishing-order
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 from .core import QueensConfig, is_classical
 from .errors import InvalidConfigError, check_cap
-from .quadrature import QuadratureResult, integrate
+from .quadrature import adaptive_simpson
 
 
 @dataclass(frozen=True)
@@ -147,25 +148,6 @@ def check_lemmas(n: int) -> dict:
     }
 
 
-def log_poly_integral(a: float, b: float, c: float, with_one: bool) -> QuadratureResult:
-    """integral_0^1 log((1 if with_one else 0) + a x^3 + b x^2 + c x) dx.
-
-    Without the constant term the integrand has an integrable log
-    singularity at 0, handled by the geometric-panel path.  The gap
-    between the two variants is O(n^(-1/2)) when a + b + c = n - 1.
-    """
-    if min(a, b, c) < 0:
-        raise InvalidConfigError("coefficients must be non-negative")
-    if not with_one and a + b + c == 0:
-        raise InvalidConfigError("integrand is identically -inf: a + b + c must be > 0")
-    shift = 1.0 if with_one else 0.0
-
-    def f(x: float) -> float:
-        return math.log(shift + ((a * x + b) * x + c) * x)
-
-    return integrate(f, 0.0, 1.0, singular_left=not with_one)
-
-
 def classical_alpha(method: str = "closed_form") -> float:
     """The classical-board bound constant, by either route.
 
@@ -176,7 +158,7 @@ def classical_alpha(method: str = "closed_form") -> float:
     if method == "closed_form":
         return 3.0 - 2.0 * math.sqrt(3.0 / 5.0) * math.atan(math.sqrt(5.0 / 3.0))
     if method == "quadrature":
-        result = integrate(lambda x: math.log(0.625 * x * x + 0.375), 0.0, 1.0, tol=1e-12)
+        result = adaptive_simpson(lambda x: math.log(0.625 * x * x + 0.375), 0.0, 1.0, tol=1e-12)
         return 1.0 - result.value
     raise InvalidConfigError(f"method must be 'closed_form' or 'quadrature', got {method!r}")
 
@@ -204,22 +186,3 @@ def torus_bound_log(n: int) -> float:
 def classical_bound_log(n: int) -> float:
     """log of the classical-count upper bound (n / e^alpha)^n: n (log n - alpha)."""
     return _bound_log(n, classical_alpha("closed_form"))
-
-
-def hypergraph_integral_check(k: float, d: int) -> QuadratureResult:
-    """Quadrature of d * integral_0^1 x^(d-1) log(k x^(d(d-1))) dx, whose
-    closed form is log k - (d - 1), the per-vertex term of the matching
-    bound."""
-    if k < 1 or d < 1:
-        raise InvalidConfigError("need k >= 1, d >= 1")
-    power = d * (d - 1)
-
-    def f(x: float) -> float:
-        return x ** (d - 1) * math.log(k * x**power)
-
-    result = integrate(f, 0.0, 1.0, singular_left=d >= 2)
-    return QuadratureResult(
-        value=d * result.value,
-        abs_error_estimate=d * result.abs_error_estimate,
-        evaluations=result.evaluations,
-    )

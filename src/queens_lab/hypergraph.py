@@ -24,11 +24,12 @@ depend on edge order.  When the gcd of the edge sizes does not divide
 the vertex count, no perfect matching exists and nothing is searched.
 
 With ``threads`` > 1 the root's subtrees go to a process pool whose class
-is imported on the first fan-out.  Each worker searches its subtree with
-the budget left after the root's candidates; an overrun propagates as
-the picklable SearchBudgetError, and for it, or for a node total above
-the budget, the parent raises the serial SearchBudgetError(budget + 1,
-budget).  Only ``build_flip_hg`` imports the construction and flip
+is imported on the first fan-out, one per free worker.  Each worker
+searches its subtree with the budget left after the root's candidates,
+its share; an overrun comes back as the picklable SearchBudgetError.
+Once an overrun or the finished subtrees' nodes pass the budget, no
+subtree starts and the parent raises the serial
+SearchBudgetError(budget + 1, budget).  Only ``build_flip_hg`` imports the construction and flip
 modules, so the other builders load neither.
 """
 
@@ -38,7 +39,7 @@ import json
 import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, islice
 from math import comb, gcd, log
 from typing import NamedTuple
 
@@ -369,8 +370,11 @@ def count_perfect_matchings(hg: Hypergraph, threads: int = 1) -> int:
     candidates plus the subtree nodes are the serial node count, and the
     budget applies to that total: a subtree's overrun or a larger total
     raises the serial error, so the result or error does not depend on
-    ``threads``.  A ``threads`` that is not an int >= 1 is refused with
-    InvalidConfigError before anything is searched.
+    ``threads``.  No subtree starts once the finished ones pass the
+    budget, so the pool searches at most workers x (share + 1) nodes past
+    it, the share being the budget less the root's candidates.  A
+    ``threads`` that is not an int >= 1 is refused with InvalidConfigError
+    before anything is searched.
     """
     check_threads(threads)
     if hg.num_vertices == 0:
@@ -393,23 +397,31 @@ def count_perfect_matchings(hg: Hypergraph, threads: int = 1) -> int:
     workers = min(threads, first.bit_count(), os.cpu_count() or 1)
     if workers > 1:
         edges = [i for i in range(num_edges) if first >> i & 1]
-        covers = [tables.masks[i] for i in edges]
-        alives = [alive & ~tables.conflict[i] for i in edges]
         global ProcessPoolExecutor
         if ProcessPoolExecutor is None:
             from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import FIRST_COMPLETED, wait
+
         share = budget - len(edges)
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(_cover_search, repeat(tables), covers, alives, repeat(share))
-                )
-            nodes = len(edges) + sum(m for _, m in results)
-        except SearchBudgetError:  # a subtree overran its share
-            nodes = budget + 1
-        if nodes > budget:
-            raise SearchBudgetError(nodes_visited=budget + 1, budget=budget)
-        return sum(count for count, _ in results)
+        nodes, count = len(edges), 0
+        subtrees = ((tables.masks[i], alive & ~tables.conflict[i]) for i in edges)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            running = set()
+            while nodes <= budget:
+                for cover, live in islice(subtrees, workers - len(running)):
+                    running.add(pool.submit(_cover_search, tables, cover, live, share))
+                if not running:
+                    return count
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    try:
+                        found, searched = future.result()
+                    except SearchBudgetError:  # the subtree overran its share
+                        found, searched = 0, share + 1
+                    count += found
+                    nodes += searched
+        # Over budget: the subtrees still running finished as the pool closed.
+        raise SearchBudgetError(nodes_visited=budget + 1, budget=budget)
     count, _ = _cover_search(tables, 0, alive, budget)
     return count
 

@@ -1,16 +1,15 @@
-"""Adaptive Simpson quadrature with support for a log-type singularity at
-the left endpoint.
+"""Quadrature: an adaptive Simpson estimate and a certified enclosure.
 
-The singular case splits [lo, hi] into panels shrinking geometrically
-toward lo ([lo + w/2^i, lo + w/2^(i-1)]); each panel is smooth and gets
-an adaptive pass with a halved error budget, and the scan stops once the
-remaining tail is provably below tolerance.  This is enough for every
-integrand used here, all of which are integrable at 0 with at worst a
-log blow-up or a log-type derivative blow-up.
+``adaptive_simpson`` integrates a smooth f to a tolerance; its error term
+is an estimate, not a bound.  ``enclose`` brackets the integral over
+[0, 1] of a non-decreasing f between its left and right Riemann sums,
+widened by a rounding margin, so its ends are bounds a caller can rely
+on.  Both count their evaluations and respect the "evals" cap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,7 +17,7 @@ from .errors import QuadratureError, cap
 
 DEFAULT_TOL = 1e-9
 MAX_DEPTH = 60  # bisection depth of one adaptive_simpson panel
-MAX_PANELS = 400  # geometric panels of integrate's singular path
+ROUNDING_MARGIN = 1e-12  # enclose widens each end by this times (1 + max |f|)
 
 
 @dataclass(frozen=True)
@@ -96,42 +95,39 @@ def adaptive_simpson(
     return QuadratureResult(value=value, abs_error_estimate=err, evaluations=evals)
 
 
-def integrate(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = DEFAULT_TOL,
-    singular_left: bool = False,
-) -> QuadratureResult:
-    """Integrate f over [lo, hi], tolerating a log singularity at lo.
+@dataclass(frozen=True)
+class Enclosure:
+    lower: float
+    upper: float
+    evaluations: int
 
-    With ``singular_left`` the integrand is never evaluated at lo itself;
-    geometric panels approach it until the last panel contributes less
-    than tol/8, at which point the unseen tail of a log-type integrand is
-    below 3x that contribution and is charged to the error estimate.
+
+def enclose(f: Callable[[float], float], panels: int) -> Enclosure:
+    """Bounds on integral_0^1 f(x) dx for a non-decreasing f.
+
+    On each of ``panels`` equal panels such an f lies between its values
+    at the panel's two ends, so the left Riemann sum is a lower bound and
+    the right one an upper bound.  Before widening they differ by exactly
+    (f(1) - f(0)) / panels, so the panel count fixes the width up front.
+
+    Each sum of values is taken with math.fsum, which rounds once, and
+    divided by ``panels``, which rounds once more.  Because f is monotone,
+    M = max(|f(0)|, |f(1)|) bounds |f| on [0, 1], so each value, and each
+    end, is at most M in size.  If f is computed to a few ulps and moves
+    by no more than that over one ulp of x (log-type integrands, whose
+    x f'(x) is small, do), every value is off by a few times 2^-53 M, and
+    so is their mean.  Each end is widened outward by
+    ROUNDING_MARGIN * (1 + M), thousands of times more.  ``panels`` must
+    be an int >= 1, and panels + 1 evaluations must fit the "evals" cap;
+    otherwise QuadratureError is raised before f is called.
     """
-    if not singular_left:
-        return adaptive_simpson(f, lo, hi, tol)
-    if hi <= lo:
-        raise QuadratureError(f"empty interval [{lo}, {hi}]")
-    width = hi - lo
-    total = 0.0
-    err = 0.0
-    evals = 0
-    right = hi
-    for i in range(1, MAX_PANELS + 1):
-        left = lo + width * 2.0 ** (-i)
-        panel = adaptive_simpson(f, left, right, tol * 2.0 ** (-i - 1))
-        total += panel.value
-        err += panel.abs_error_estimate
-        evals += panel.evaluations
-        right = left
-        if i >= 8 and abs(panel.value) < tol / 8.0:
-            tail = 3.0 * abs(panel.value)
-            if tail <= tol / 2.0:
-                return QuadratureResult(
-                    value=total, abs_error_estimate=err + tail, evaluations=evals
-                )
-    raise QuadratureError(
-        f"singular tail did not fall below tolerance {tol} in {MAX_PANELS} panels"
+    limit = cap("evals")
+    if type(panels) is not int or not 1 <= panels < limit:
+        raise QuadratureError(f"panels must be an integer in [1, {limit - 1}], got {panels!r}")
+    values = [f(i / panels) for i in range(panels + 1)]
+    margin = ROUNDING_MARGIN * (1.0 + max(abs(values[0]), abs(values[-1])))
+    return Enclosure(
+        lower=math.fsum(values[:-1]) / panels - margin,
+        upper=math.fsum(values[1:]) / panels + margin,
+        evaluations=panels + 1,
     )

@@ -18,8 +18,10 @@ import random
 from . import bounds, core, counting, flips, hypergraph
 from .construction import BaseParams, build_base_config, check_units
 from .errors import InvalidConfigError
+from .quadrature import enclose
 
 LEVELS = ("quick", "full")
+PANELS = 1000  # equal panels of each enclosed integral
 
 # Each claim: its name, the hypergraph it is about, and the claimed
 # [vertices, edges, d, k, max codegree], or a prefix of that list.
@@ -285,25 +287,24 @@ def _bounds_checks(full: bool) -> list[dict]:
         )
     )
 
-    grid = [
-        [k, d, bounds.hypergraph_integral_check(k, d).value, math.log(k) - (d - 1)]
-        for k in (5, 17, 100)
-        for d in (2, 3, 4)
-    ]
-    grid_ok = all(abs(value - want) <= 1e-6 for _, _, value, want in grid)
-    checks.append(
-        _check("matching-bound-integral-closed-form", grid_ok, "quadrature == log k - (d-1) within 1e-6", grid)
-    )
+    # 1 + (k-1) t >= k t on [0, 1], so the integral is at least
+    # integral_0^1 log(k x^(d-1)) dx = log k - (d-1).
+    grid = []
+    for k in (5, 17, 100):
+        for d in (2, 3, 4):
+            lower = enclose(lambda x: math.log1p((k - 1) * x ** (d - 1)), PANELS).lower
+            grid.append([k, d, lower, math.log(k) - (d - 1)])
+    grid_ok = all(lower >= floor for _, _, lower, floor in grid)
+    want = "enclosed lower end >= log k - (d-1)"
+    checks.append(_check("matching-bound-integral-closed-form", grid_ok, want, grid))
 
     gaps = []
     for n in (16, 64, 256, 1024):
-        with_one = bounds.log_poly_integral(0.0, 0.0, n - 1.0, with_one=True).value
-        without = bounds.log_poly_integral(0.0, 0.0, n - 1.0, with_one=False).value
-        gaps.append([n, abs(with_one - without), 2.0 / math.sqrt(n)])
+        upper = enclose(lambda x: math.log1p((n - 1) * x), PANELS).upper
+        gaps.append([n, upper - (math.log(n - 1) - 1.0), 2.0 / math.sqrt(n)])
     gaps_ok = all(gap <= limit for _, gap, limit in gaps)
-    checks.append(
-        _check("log-gap-within-two-over-sqrt-n", gaps_ok, "gap <= 2 n^(-1/2)", gaps)
-    )
+    want = "enclosed upper end - (log(n-1) - 1) <= 2 n^(-1/2)"
+    checks.append(_check("log-gap-within-two-over-sqrt-n", gaps_ok, want, gaps))
     return checks
 
 

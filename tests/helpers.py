@@ -9,6 +9,7 @@ row-permutation enumeration for Sudoku grids, every row pair for flips.
 from __future__ import annotations
 
 from collections import Counter
+from concurrent.futures import Future
 from itertools import combinations, permutations
 
 from queens_lab import hypergraph
@@ -256,8 +257,8 @@ def brute_force_perfect_matchings(num_vertices: int, edges) -> int:
 
 def recording_pool(sizes: list):
     """A stand-in for ProcessPoolExecutor that starts no process: each pool
-    appends its ``max_workers`` to ``sizes`` and runs ``map`` in this
-    process."""
+    appends its ``max_workers`` to ``sizes`` and runs ``map``, and each
+    ``submit`` at once, in this process."""
 
     class Pool:
         def __init__(self, max_workers=None):
@@ -271,6 +272,14 @@ def recording_pool(sizes: list):
 
         def map(self, fn, *iterables):
             return map(fn, *iterables)
+
+        def submit(self, fn, *args):
+            future = Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
 
     return Pool
 

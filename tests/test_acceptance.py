@@ -18,8 +18,6 @@ from queens_lab.bounds import (
     concentric_sum,
     diagonal_exposure,
     diagonal_exposure_matrix,
-    hypergraph_integral_check,
-    log_poly_integral,
 )
 from queens_lab.construction import BaseParams, build_base_config
 from queens_lab.core import is_toroidal
@@ -45,6 +43,8 @@ from queens_lab.hypergraph import (
     cyclic_latin_square,
     stats,
 )
+from queens_lab.quadrature import enclose
+from queens_lab.verify import PANELS
 
 from helpers import (
     EXPOSURE_5,
@@ -214,17 +214,19 @@ def test_criterion_8_numeric_constants():
     alpha_quad = classical_alpha("quadrature")
     alpha_ok = abs(alpha_closed - alpha_quad) <= 1e-9 and 1.587 < alpha_closed < 1.588
 
+    # Certified ends at verify's panel count: the matching-bound integral
+    # sits above log k - (d-1), and the log gap stays below 2/sqrt(n).
     grid_ok = all(
-        abs(hypergraph_integral_check(k, d).value - (math.log(k) - (d - 1))) <= 1e-6
+        enclose(lambda x: math.log1p((k - 1) * x ** (d - 1)), PANELS).lower >= math.log(k) - (d - 1)
         for k in (5, 17, 100)
         for d in (2, 3, 4)
     )
 
     gap_ok = True
     for n in (16, 64, 256, 1024):
-        with_one = log_poly_integral(0, 0, n - 1, with_one=True).value
-        without = log_poly_integral(0, 0, n - 1, with_one=False).value
-        if abs(with_one - without) > 2.0 / math.sqrt(n):
+        with_one = enclose(lambda x: math.log1p((n - 1) * x), PANELS).upper
+        without = math.log(n - 1) - 1.0
+        if with_one - without > 2.0 / math.sqrt(n):
             gap_ok = False
 
     ok = alpha_ok and grid_ok and gap_ok
@@ -232,7 +234,7 @@ def test_criterion_8_numeric_constants():
         8,
         ok,
         "alpha closed form vs quadrature within 1e-9 in (1.587, 1.588); "
-        "integral grid within 1e-6; log gap <= 2/sqrt(n)",
+        "enclosed integral grid >= log k - (d-1); enclosed log gap <= 2/sqrt(n)",
     )
 
 

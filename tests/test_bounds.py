@@ -3,6 +3,8 @@ import math
 import pytest
 
 from queens_lab import bounds, counting, errors
+from queens_lab.quadrature import ROUNDING_MARGIN, adaptive_simpson, enclose
+from queens_lab.verify import PANELS
 from queens_lab.bounds import (
     attack_profiles,
     classical_alpha,
@@ -11,8 +13,6 @@ from queens_lab.bounds import (
     concentric_sum,
     diagonal_exposure,
     diagonal_exposure_matrix,
-    hypergraph_integral_check,
-    log_poly_integral,
     torus_bound_log,
 )
 from queens_lab.core import QueensConfig
@@ -113,35 +113,23 @@ def test_identity_on_toroidal_derived_solutions():
         assert lhs == rhs
 
 
-def test_log_poly_integral_closed_forms():
-    assert log_poly_integral(0, 0, 1, with_one=False).value == pytest.approx(-1.0, abs=1e-8)
-    assert log_poly_integral(1, 0, 0, with_one=False).value == pytest.approx(-3.0, abs=1e-8)
-
-
-def test_log_poly_integral_guards():
-    with pytest.raises(InvalidConfigError):
-        log_poly_integral(0, 0, 0, with_one=False)
-    with pytest.raises(InvalidConfigError):
-        log_poly_integral(-1, 0, 2, with_one=True)
-    # All-zero coefficients are fine with the constant term present.
-    assert log_poly_integral(0, 0, 0, with_one=True).value == pytest.approx(0.0, abs=1e-12)
-
-
 @pytest.mark.parametrize("n", [16, 64, 256, 1024])
 def test_log_gap_bound(n):
-    with_one = log_poly_integral(0, 0, n - 1, with_one=True).value
-    without = log_poly_integral(0, 0, n - 1, with_one=False).value
-    assert abs(with_one - without) <= 2.0 / math.sqrt(n)
+    # integral_0^1 log((n-1) x) dx = log(n-1) - 1; adding 1 inside the log
+    # raises the integral by less than 2/sqrt(n).
+    without = math.log(n - 1) - 1.0
+    with_one = enclose(lambda x: math.log1p((n - 1) * x), PANELS)
+    assert without < with_one.lower
+    assert with_one.upper - without <= 2.0 / math.sqrt(n)
 
 
 def test_log_gap_mixed_coefficients_reported():
     n = 100
-    with_one = log_poly_integral(33, 33, 33, with_one=True).value
-    without = log_poly_integral(33, 33, 33, with_one=False).value
-    gap = abs(with_one - without)
-    assert 0.0 < gap
-    assert with_one > without  # adding 1 inside the log can only increase it
-    measured_constant = gap * math.sqrt(n)
+    # integral_0^1 log(33 x (x^2 + x + 1)) dx in closed form.
+    without = math.log(33) - 3.0 + 1.5 * math.log(3) + math.pi / (2.0 * math.sqrt(3))
+    with_one = enclose(lambda x: math.log1p(((33 * x + 33) * x + 33) * x), PANELS)
+    assert without < with_one.lower  # adding 1 inside the log can only increase it
+    measured_constant = (with_one.upper - without) * math.sqrt(n)
     assert measured_constant < 4.0
 
 
@@ -156,9 +144,7 @@ def test_alpha_interval_and_agreement():
 
 
 def test_alpha_integrand_value():
-    from queens_lab.quadrature import integrate
-
-    value = integrate(lambda x: math.log(0.625 * x * x + 0.375), 0.0, 1.0, tol=1e-12).value
+    value = adaptive_simpson(lambda x: math.log(0.625 * x * x + 0.375), 0.0, 1.0, tol=1e-12).value
     assert value == pytest.approx(-2.0 + 2.0 * math.sqrt(0.6) * math.atan(math.sqrt(5.0 / 3.0)), abs=1e-9)
     assert -0.588 < value < -0.587
 
@@ -194,19 +180,20 @@ def test_finite_size_comparison_is_reported_not_asserted():
 @pytest.mark.parametrize("k", [5, 17, 100])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_matching_integral_closed_form(k, d):
-    result = hypergraph_integral_check(k, d)
-    assert result.value == pytest.approx(math.log(k) - (d - 1), abs=1e-6)
+    # 1 + (k-1) t >= k t on [0, 1], so the integral is at least
+    # integral_0^1 log(k x^(d-1)) dx = log k - (d-1).
+    result = enclose(lambda x: math.log1p((k - 1) * x ** (d - 1)), PANELS)
+    assert result.lower >= math.log(k) - (d - 1)
 
 
 def test_matching_integral_trivial():
-    assert hypergraph_integral_check(1, 1).value == pytest.approx(0.0, abs=1e-9)
-
-
-def test_matching_integral_guards():
-    with pytest.raises(InvalidConfigError):
-        hypergraph_integral_check(0, 2)
-    with pytest.raises(InvalidConfigError):
-        hypergraph_integral_check(5, 0)
+    # At d = 1 the integrand is the constant log k, and so is the bound.
+    for k in (1, 5, 100):
+        result = enclose(lambda x: math.log1p((k - 1) * x**0), PANELS)
+        margin = ROUNDING_MARGIN * (1.0 + math.log(k))
+        assert result.lower == pytest.approx(math.log(k) - margin, abs=1e-15)
+        assert result.lower <= math.log(k) <= result.upper
+        assert result.upper - result.lower <= 2.0 * margin + 1e-15
 
 
 def test_check_lemmas_is_capped_before_it_searches(monkeypatch):

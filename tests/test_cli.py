@@ -471,6 +471,13 @@ def test_bounds_alpha(capsys):
     assert payload["difference"] <= 1e-9
 
 
+def test_bounds_alpha_matches_pinned_output(capsys):
+    pinned = (Path(__file__).parent / "data" / "bounds_alpha.json").read_text(encoding="utf-8")
+    code, out, _ = run(capsys, ["bounds", "--alpha"])
+    assert code == 0
+    assert out == pinned
+
+
 def test_bounds_requires_one_action():
     with pytest.raises(SystemExit) as info:
         cli.main(["bounds"])

@@ -380,6 +380,39 @@ def test_pool_splits_on_the_serial_root_vertex():
             assert serial == count
 
 
+def test_pooled_search_stops_near_its_budget(monkeypatch):
+    # The order-11 cyclic transversal: 215 646 nodes below 11 root
+    # candidates.  With a budget of a quarter of that, every subtree used
+    # to get the whole budget, and the pool searched all 215 635 subtree
+    # nodes before it raised.
+    hg = build_transversal_hg(cyclic_latin_square(11))
+    budget, workers, roots = 53_911, 2, 11
+    share = budget - roots
+    searched = []
+    search = hypergraph._cover_search
+
+    def counted(tables, cover, alive, limit):
+        try:
+            count, nodes = search(tables, cover, alive, limit)
+        except SearchBudgetError as exc:
+            searched.append(exc.nodes_visited)
+            raise
+        searched.append(nodes)
+        return count, nodes
+
+    monkeypatch.setattr(hypergraph, "_cover_search", counted)
+    monkeypatch.setattr(hypergraph, "ProcessPoolExecutor", recording_pool(sizes := []))
+    monkeypatch.setattr(hypergraph.os, "cpu_count", lambda: 64)
+    serial = _outcome(hg, budget, threads=1)
+    assert serial == ("budget", budget + 1, budget) and searched == [budget + 1]
+    searched.clear()
+    assert _outcome(hg, budget, threads=workers) == serial
+    assert sizes == [workers]
+    assert all(nodes <= share + 1 for nodes in searched)
+    assert budget - roots < sum(searched) <= budget + workers * share
+    assert len(searched) < roots
+
+
 def _random_hypergraph(rng, max_vertices=9, max_edges=14):
     """Up to ``max_vertices`` vertices and ``max_edges`` distinct edges of
     sizes 1 to 4 (uniform for some seeds); vertices in no edge stay

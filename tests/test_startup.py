@@ -125,7 +125,7 @@ print(json.dumps({"names": names, "dir": dir(queens_lab), "count": count, "homes
                   "missing": missing}))
 """
     )
-    assert len(result["names"]) == 51
+    assert len(result["names"]) == 50
     assert all(result["homes"].values())
     assert set(result["names"]) <= set(result["dir"])
     assert result["count"] == 92

@@ -173,7 +173,7 @@ def _run_count(args) -> Any:
     from . import counting
 
     if args.oracle:
-        result = counting.oracle_count(args.n, args.mode)
+        result = counting.oracle_count(args.n, args.mode, threads=args.threads)
     elif args.mode == "classical":
         result = counting.count_classical(args.n, threads=args.threads)
     else:

@@ -18,9 +18,11 @@ provides an independent slow check: oracle_counts makes one pass over
 the n! permutations for any set of modes, building each permutation once
 as a checked QueensConfig (positionally, through the same
 ``__post_init__`` checks as every construction) and handing it to every
-mode's core predicate (looked up per call); oracle_count is that pass
-for one mode.  The pass is driven from C by ``map``, ``tee`` and ``zip``
-into a Counter of verdict tuples, with no per-board Python loop.
+mode's core predicate (looked up per block); oracle_count is that pass
+for one mode.  The pass is split into one block per placement of the
+first two rows, n(n - 1) blocks of (n - 2)! boards, each driven from C
+by ``map``, ``tee`` and ``zip`` into a Counter of verdict tuples, with no
+per-board Python loop; the block Counters are summed.
 
 The search is reduced by symmetry.  The mirror x -> n - 1 - x maps
 classical solutions onto classical ones, and the maps x -> +-x + c map
@@ -32,15 +34,19 @@ under the group, its lexicographic least, weighted by the orbit's size.
 The classical board searches x0 < (n - 1) / 2, and on an odd board the
 middle column with x1 < (n - 1) / 2, each weighted by 2; the torus
 searches (0, a) with a <= n / 2, weighted by 2n, or n for a = n / 2.
-One ordered task list serves the serial loop, the process pool that the
-counters' optional ``threads`` argument fans the tasks (~n^2 / 2
-classical, ~n / 2 toroidal) out to, and enumerate_solutions, which runs
-in-process and returns the set of the searched solutions' images under
-the same group, sorted.  Counts are weighted commutative sums and do not
-depend on the worker count; a ``threads`` that is not an int >= 1 is
-refused with InvalidConfigError before the task list is built.  The pool
-class is imported on the first fan-out, so a single-worker process never
-loads concurrent.futures or multiprocessing.
+One ordered task list serves the counters and enumerate_solutions, which
+runs in-process and returns the set of the searched solutions' images
+under the same group, sorted.
+
+``_fan_out`` is the one dispatch of the counters' optional ``threads``
+argument, for the search tasks (~n^2 / 2 classical, ~n / 2 toroidal) and
+the oracle's blocks alike: it runs them in order in this process, or on
+a process pool of at most one worker per task and per usable CPU.
+Counts are commutative sums and do not depend on the worker count; a
+``threads`` that is not an int >= 1 is refused with InvalidConfigError
+before any task is built.  The pool class is imported on the first
+fan-out, so a single-worker process never loads concurrent.futures or
+multiprocessing.
 
 ``nodes_visited`` is the size of the full, unreduced row-by-row tree:
 every legal placement tried, the first row included.  It is computed
@@ -52,15 +58,15 @@ entered them.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, repeat, tee
+from operator import add
 
 from . import core
 from .core import QueensConfig
-from .errors import InvalidConfigError, check_cap, check_threads
+from .errors import InvalidConfigError, check_cap, check_threads, usable_cpus
 
 MODES = ("classical", "toroidal")
 
@@ -230,21 +236,28 @@ def _subtree(
     return count, nodes
 
 
+def _fan_out(threads: int, fn, shared: tuple, items: list) -> list:
+    """``[fn(*shared, item) for item in items]``, in order: on a process
+    pool of min(threads, len(items), usable CPUs) workers when that is
+    above 1, else in this process."""
+    args = (*map(repeat, shared), items)
+    workers = min(threads, len(items), usable_cpus())
+    if workers > 1:
+        global ProcessPoolExecutor
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, *args))
+    return list(map(fn, *args))
+
+
 def _count(n: int, mode: str, threads: int) -> CountResult:
     _check_size(n, "count")
     check_threads(threads)
     toroidal = mode == "toroidal"
     tasks = _tasks(n, toroidal)
     prefixes = [prefix for prefix, _ in tasks]
-    workers = min(threads, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        global ProcessPoolExecutor
-        if ProcessPoolExecutor is None:
-            from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_subtree, repeat(n), repeat(toroidal), prefixes))
-    else:
-        results = [_subtree(n, toroidal, prefix) for prefix in prefixes]
+    results = _fan_out(threads, _subtree, (n, toroidal), prefixes)
     count = sum(w * c for (_, w), (c, _) in zip(tasks, results))
     # Every first-row placement is itself a visited node; the weights sum
     # to the number of legal prefixes, each standing for its own subtree.
@@ -262,25 +275,47 @@ def count_toroidal(n: int, threads: int = 1) -> CountResult:
     return _count(n, "toroidal", threads)
 
 
-def oracle_counts(n: int, modes: tuple[str, ...]) -> tuple[CountResult, ...]:
-    """Independent slow counts, one per mode: filter all n! permutations
-    through the core predicates in one pass, each permutation built once
-    as a checked QueensConfig and handed to every mode's predicate.
+def _oracle_block(n: int, modes: tuple[str, ...], prefix: tuple[int, ...]) -> Counter:
+    """Verdict tuples of the permutations that start with ``prefix``, in
+    lexicographic order, each built once as a checked QueensConfig and
+    handed to every mode's core predicate.
 
     The pass runs from C: ``tee`` hands each board to one ``map`` per
     predicate, and ``zip`` draws one verdict from each before the next
     board is built, so the boards held at once are bounded by tee's
-    buffer, not by n!.  The Counter of verdict tuples gives the number of
-    boards checked and, per mode, the number it accepted.  Capped at the
-    "oracle" entry of ``CAPS``.
+    buffer, not by the block's size.
+    """
+    # Looked up per block, so a replaced core predicate is the one used.
+    predicates = [getattr(core, f"is_{mode}") for mode in modes]
+    rest = [x for x in range(n) if x not in prefix]
+    configs = map(QueensConfig, repeat(n), map(add, repeat(prefix), permutations(rest)))
+    return Counter(zip(*map(map, predicates, tee(configs, len(predicates)))))
+
+
+def oracle_counts(
+    n: int, modes: tuple[str, ...], threads: int = 1
+) -> tuple[CountResult, ...]:
+    """Independent slow counts, one per mode: filter all n! permutations
+    through the core predicates in one pass, each permutation built once
+    as a checked QueensConfig and handed to every mode's predicate.
+
+    The permutations split into one block per placement of the first
+    min(n, 2) rows, n(n - 1) of them for n >= 2, run in lexicographic
+    order, so a serial pass builds the boards in ``permutations`` order;
+    with ``threads`` > 1 the blocks go to a process pool.  The summed
+    Counter of verdict tuples gives the number of boards checked and, per
+    mode, the number it accepted, whatever the worker count.  Capped at
+    the "oracle" entry of ``CAPS``; a ``threads`` that is not an int >= 1
+    is refused with InvalidConfigError before any board is built.
     """
     for mode in modes:
         _check_mode(mode)
     _check_size(n, "oracle")
-    # Looked up per call, so a replaced core predicate is the one used.
-    predicates = [getattr(core, f"is_{mode}") for mode in modes]
-    configs = map(QueensConfig, repeat(n), permutations(range(n)))
-    verdicts = Counter(zip(*map(map, predicates, tee(configs, len(predicates)))))
+    check_threads(threads)
+    prefixes = list(permutations(range(n), min(n, 2)))
+    verdicts = Counter()
+    for block in _fan_out(threads, _oracle_block, (n, tuple(modes)), prefixes):
+        verdicts.update(block)
     checked = verdicts.total()
     return tuple(
         CountResult(n, mode, sum(c for key, c in verdicts.items() if key[i]), checked)
@@ -288,9 +323,9 @@ def oracle_counts(n: int, modes: tuple[str, ...]) -> tuple[CountResult, ...]:
     )
 
 
-def oracle_count(n: int, mode: str) -> CountResult:
+def oracle_count(n: int, mode: str, threads: int = 1) -> CountResult:
     """Independent slow count of one mode; see oracle_counts."""
-    return oracle_counts(n, (mode,))[0]
+    return oracle_counts(n, (mode,), threads)[0]
 
 
 def enumerate_solutions(n: int, mode: str) -> list[QueensConfig]:

@@ -5,7 +5,8 @@ map library errors to exit code 1 and keep usage errors (exit code 2)
 separate.  Errors that carry extra constructor arguments define
 ``__reduce__`` so they survive pickling, and with it a trip back from a
 process-pool worker.  ``CAPS`` is the one table of size limits and work
-budgets.
+budgets; ``check_threads`` and ``usable_cpus`` are the one rule for a
+worker count and for the CPUs a pool may use.
 """
 
 from __future__ import annotations
@@ -83,6 +84,15 @@ def check_threads(threads: int) -> None:
     """Refuse a worker count that is not an int >= 1, bool included."""
     if type(threads) is not int or threads < 1:
         raise InvalidConfigError(f"threads must be an integer >= 1, got {threads!r}")
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (so cpusets and taskset count), else the CPU count,
+    1 when that is unknown.  Pools are clamped to it."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class FlipError(QueensLabError):

@@ -36,7 +36,6 @@ modules, so the other builders load neither.
 from __future__ import annotations
 
 import json
-import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
@@ -51,6 +50,7 @@ from .errors import (
     cap,
     check_cap,
     check_threads,
+    usable_cpus,
 )
 
 # concurrent.futures.ProcessPoolExecutor, imported on the first fan-out.
@@ -394,7 +394,7 @@ def count_perfect_matchings(hg: Hypergraph, threads: int = 1) -> int:
     tables = _cover_tables(hg.num_vertices, hg.edges)
     alive = (1 << num_edges) - 1
     first = _fewest_candidates(tables.incident, tables.full, alive)
-    workers = min(threads, first.bit_count(), os.cpu_count() or 1)
+    workers = min(threads, first.bit_count(), usable_cpus())
     if workers > 1:
         edges = [i for i in range(num_edges) if first >> i & 1]
         global ProcessPoolExecutor

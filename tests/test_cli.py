@@ -1,11 +1,14 @@
 import json
 import math
 import re
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from queens_lab import cli, core, counting, errors, hypergraph, verify
+
+from helpers import recording_pool
 
 
 def run(capsys, argv):
@@ -587,6 +590,44 @@ def test_verify_quick_matches_pinned_report(capsys):
     code, out, _ = run(capsys, ["verify", "--level", "quick"])
     assert code == 0
     assert out == pinned
+
+
+@pytest.mark.parametrize("mode", ["classical", "toroidal"])
+def test_pooled_oracle_stdout_matches_serial(capsys, monkeypatch, mode):
+    sizes = []
+
+    class Pool(ProcessPoolExecutor):  # real worker processes, sizes recorded
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    argv = ["count", "--n", "8", "--mode", mode, "--oracle"]
+    _, serial, _ = run(capsys, argv)
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(counting, "usable_cpus", lambda: 2)
+    code, pooled, _ = run(capsys, argv + ["--threads", "2"])
+    assert code == 0 and sizes == [2]
+    assert pooled == serial
+    assert json.loads(pooled)["count"] == {"classical": 92, "toroidal": 0}[mode]
+
+
+def test_full_verify_pools_only_its_n9_oracle_pass(monkeypatch):
+    sizes, passes = [], []
+    oracle_counts = counting.oracle_counts
+
+    def recorded(n, modes, threads=1):
+        passes.append((n, threads))
+        return oracle_counts(n, modes, threads)
+
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", recording_pool(sizes))
+    monkeypatch.setattr(counting, "oracle_counts", recorded)
+    for module in (counting, verify):
+        monkeypatch.setattr(module, "usable_cpus", lambda: 3)
+    report = verify.run_verification_suite("full")
+    assert sizes == [3]
+    assert passes == [(n, 1) for n in range(1, 9)] + [(9, 3)]
+    pinned = (Path(__file__).parent / "data" / "verify_full.json").read_text(encoding="utf-8")
+    assert json.dumps(report, indent=2) + "\n" == pinned
 
 
 def test_verify_detects_tampered_validator(capsys, monkeypatch):

@@ -108,6 +108,55 @@ def test_oracle_hands_every_board_to_every_predicate(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pooled_oracle_equals_serial(monkeypatch, n):
+    serial = oracle_counts(n, counting.MODES)
+    sizes = []
+    if n < 7:
+        # In-process stand-in; n = 7 and 8 start real worker processes.
+        monkeypatch.setattr(counting, "ProcessPoolExecutor", recording_pool(sizes))
+        monkeypatch.setattr(counting, "usable_cpus", lambda: 2)
+    pooled = oracle_counts(n, counting.MODES, threads=2)
+    assert [(r.mode, r.count, r.nodes_visited) for r in pooled] == [
+        (r.mode, r.count, r.nodes_visited) for r in serial
+    ]
+    # n = 1 is one block, the board (0,), and needs no pool.
+    if n < 7:
+        assert sizes == ([2] if n > 1 else [])
+
+
+def test_oracle_blocks_are_the_first_two_rows(monkeypatch):
+    sizes, blocks = [], []
+    block = counting._oracle_block
+
+    def recorded(n, modes, prefix):
+        blocks.append(prefix)
+        return block(n, modes, prefix)
+
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", recording_pool(sizes))
+    monkeypatch.setattr(counting, "usable_cpus", lambda: 64)
+    monkeypatch.setattr(counting, "_oracle_block", recorded)
+    assert oracle_count(5, "toroidal", threads=64).count == 10
+    assert blocks == [(a, b) for a in range(5) for b in range(5) if a != b]
+    assert sizes == [20]
+
+
+@pytest.mark.parametrize("threads", [2.0, 1.5, 0, -2, True])
+@pytest.mark.parametrize("call", [oracle_counts, oracle_count])
+def test_oracle_threads_must_be_a_positive_int(monkeypatch, call, threads):
+    sizes = []
+
+    def refuse(config):
+        raise AssertionError("board built")
+
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", recording_pool(sizes))
+    monkeypatch.setattr(QueensConfig, "__post_init__", refuse)
+    modes = counting.MODES if call is oracle_counts else "classical"
+    with pytest.raises(InvalidConfigError, match="threads must be an integer >= 1"):
+        call(6, modes, threads=threads)
+    assert sizes == []
+
+
 def test_count_result_fields():
     result = count_classical(6)
     assert isinstance(result, CountResult)
@@ -326,16 +375,16 @@ def test_pool_size_is_clamped_to_tasks_and_cpus(monkeypatch):
     sizes = []
     monkeypatch.setattr(counting, "ProcessPoolExecutor", recording_pool(sizes))
     serial = count_classical(8)
-    monkeypatch.setattr(counting.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(counting, "usable_cpus", lambda: 3)
     pooled = count_classical(8, threads=64)
     assert sizes == [3]
     assert (pooled.count, pooled.nodes_visited) == (serial.count, serial.nodes_visited)
-    monkeypatch.setattr(counting.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(counting, "usable_cpus", lambda: 64)
     # n = 4 has the three prefixes (0, 2), (0, 3) and (1, 3), n = 3 only (0, 2).
     assert count_classical(4, threads=64).count == 2
     assert count_classical(3, threads=64).count == 0
     assert sizes == [3, 3]
-    monkeypatch.setattr(counting.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(counting, "usable_cpus", lambda: 1)
     assert count_toroidal(7, threads=64).count == 28
     assert sizes == [3, 3]
 

@@ -35,3 +35,14 @@ def test_domain_error_survives_pickle(cls):
     assert str(back) == str(exc)
     assert back.code == exc.code
     assert vars(back) == vars(exc)
+
+
+def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(errors.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(errors.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert errors.usable_cpus() == 3
+    # Without an affinity call the CPU count stands, 1 when it is unknown.
+    monkeypatch.delattr(errors.os, "sched_getaffinity")
+    assert errors.usable_cpus() == 64
+    monkeypatch.setattr(errors.os, "cpu_count", lambda: None)
+    assert errors.usable_cpus() == 1

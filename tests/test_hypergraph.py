@@ -402,7 +402,7 @@ def test_pooled_search_stops_near_its_budget(monkeypatch):
 
     monkeypatch.setattr(hypergraph, "_cover_search", counted)
     monkeypatch.setattr(hypergraph, "ProcessPoolExecutor", recording_pool(sizes := []))
-    monkeypatch.setattr(hypergraph.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(hypergraph, "usable_cpus", lambda: 64)
     serial = _outcome(hg, budget, threads=1)
     assert serial == ("budget", budget + 1, budget) and searched == [budget + 1]
     searched.clear()
@@ -571,14 +571,14 @@ def test_matching_pool_is_clamped_to_subtrees_and_cpus(monkeypatch):
     sizes = []
     monkeypatch.setattr(hypergraph, "ProcessPoolExecutor", recording_pool(sizes))
     torus = build_torus_queens_hg(5)
-    monkeypatch.setattr(hypergraph.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(hypergraph, "usable_cpus", lambda: 64)
     # Vertex 0 is row 0 of the board, so five edges branch first.
     assert count_perfect_matchings(torus, threads=64) == 10
     assert sizes == [5]
-    monkeypatch.setattr(hypergraph.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(hypergraph, "usable_cpus", lambda: 2)
     assert count_perfect_matchings(torus, threads=64) == 10
     assert sizes == [5, 2]
-    monkeypatch.setattr(hypergraph.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(hypergraph, "usable_cpus", lambda: 1)
     sudoku = build_sudoku_hg(2)
     for max_nodes in (5, 2000):
         assert _outcome(sudoku, max_nodes, threads=64) == _outcome(sudoku, max_nodes, threads=1)

@@ -41,12 +41,17 @@ under the same group, sorted.
 ``_fan_out`` is the one dispatch of the counters' optional ``threads``
 argument, for the search tasks (~n^2 / 2 classical, ~n / 2 toroidal) and
 the oracle's blocks alike: it runs them in order in this process, or on
-a process pool of at most one worker per task and per usable CPU.
-Counts are commutative sums and do not depend on the worker count; a
-``threads`` that is not an int >= 1 is refused with InvalidConfigError
-before any task is built.  The pool class is imported on the first
-fan-out, so a single-worker process never loads concurrent.futures or
-multiprocessing.
+a process pool of at most one worker per task and per usable CPU.  On
+the pool every task is submitted before ``_fan_out`` returns; the
+results come back in order, read lazily, and the pool shuts down, with
+pending tasks cancelled and its workers joined, once they are all read,
+a read raises or the reader closes them.  The counters read them at
+once; ``_oracle_pass`` hands them to a caller that does other work
+first, and ``_oracle_tally`` sums them.  Counts are commutative sums and
+do not depend on the worker count; a ``threads`` that is not an int
+>= 1 is refused with InvalidConfigError before any task is built.  The
+pool class is imported on the first fan-out, so a single-worker process
+never loads concurrent.futures or multiprocessing.
 
 ``nodes_visited`` is the size of the full, unreduced row-by-row tree:
 every legal placement tried, the first row included.  It is computed
@@ -236,19 +241,49 @@ def _subtree(
     return count, nodes
 
 
-def _fan_out(threads: int, fn, shared: tuple, items: list) -> list:
-    """``[fn(*shared, item) for item in items]``, in order: on a process
+class _Results:
+    """Results of tasks already started, in order, read lazily.  The pool
+    that runs them, if any, shuts down once they are all read, when a read
+    raises or when ``close`` is called; pending tasks are then cancelled
+    and the workers joined."""
+
+    def __init__(self, results, pool=None):
+        self._results, self._pool = results, pool
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        try:
+            return next(self._results)
+        except BaseException:
+            self.close()
+            raise
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+            self._pool = None
+
+
+def _fan_out(threads: int, fn, shared: tuple, items: list) -> _Results:
+    """``fn(*shared, item)`` for each of ``items``, in order: on a process
     pool of min(threads, len(items), usable CPUs) workers when that is
-    above 1, else in this process."""
+    above 1, every task submitted before this returns, else in this
+    process as the results are read."""
     args = (*map(repeat, shared), items)
     workers = min(threads, len(items), usable_cpus())
-    if workers > 1:
-        global ProcessPoolExecutor
-        if ProcessPoolExecutor is None:
-            from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, *args))
-    return list(map(fn, *args))
+    if workers <= 1:
+        return _Results(map(fn, *args))
+    global ProcessPoolExecutor
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        return _Results(pool.map(fn, *args), pool)
+    except BaseException:
+        pool.shutdown(cancel_futures=True)
+        raise
 
 
 def _count(n: int, mode: str, threads: int) -> CountResult:
@@ -257,7 +292,7 @@ def _count(n: int, mode: str, threads: int) -> CountResult:
     toroidal = mode == "toroidal"
     tasks = _tasks(n, toroidal)
     prefixes = [prefix for prefix, _ in tasks]
-    results = _fan_out(threads, _subtree, (n, toroidal), prefixes)
+    results = list(_fan_out(threads, _subtree, (n, toroidal), prefixes))
     count = sum(w * c for (_, w), (c, _) in zip(tasks, results))
     # Every first-row placement is itself a visited node; the weights sum
     # to the number of legal prefixes, each standing for its own subtree.
@@ -292,6 +327,29 @@ def _oracle_block(n: int, modes: tuple[str, ...], prefix: tuple[int, ...]) -> Co
     return Counter(zip(*map(map, predicates, tee(configs, len(predicates)))))
 
 
+def _oracle_pass(n: int, modes: tuple[str, ...], threads: int) -> _Results:
+    """Check the arguments of oracle_counts, then start its pass: the block
+    Counters, in order, from ``_fan_out``."""
+    for mode in modes:
+        _check_mode(mode)
+    _check_size(n, "oracle")
+    check_threads(threads)
+    prefixes = list(permutations(range(n), min(n, 2)))
+    return _fan_out(threads, _oracle_block, (n, tuple(modes)), prefixes)
+
+
+def _oracle_tally(n: int, modes: tuple[str, ...], blocks) -> tuple[CountResult, ...]:
+    """One CountResult per mode from the block Counters of a pass."""
+    verdicts = Counter()
+    for block in blocks:
+        verdicts.update(block)
+    checked = verdicts.total()
+    return tuple(
+        CountResult(n, mode, sum(c for key, c in verdicts.items() if key[i]), checked)
+        for i, mode in enumerate(modes)
+    )
+
+
 def oracle_counts(
     n: int, modes: tuple[str, ...], threads: int = 1
 ) -> tuple[CountResult, ...]:
@@ -308,19 +366,7 @@ def oracle_counts(
     the "oracle" entry of ``CAPS``; a ``threads`` that is not an int >= 1
     is refused with InvalidConfigError before any board is built.
     """
-    for mode in modes:
-        _check_mode(mode)
-    _check_size(n, "oracle")
-    check_threads(threads)
-    prefixes = list(permutations(range(n), min(n, 2)))
-    verdicts = Counter()
-    for block in _fan_out(threads, _oracle_block, (n, tuple(modes)), prefixes):
-        verdicts.update(block)
-    checked = verdicts.total()
-    return tuple(
-        CountResult(n, mode, sum(c for key, c in verdicts.items() if key[i]), checked)
-        for i, mode in enumerate(modes)
-    )
+    return _oracle_tally(n, modes, _oracle_pass(n, modes, threads))
 
 
 def oracle_count(n: int, mode: str, threads: int = 1) -> CountResult:

@@ -6,17 +6,22 @@ matching count.  The report contains only exact values and booleans
 (no timings), so repeated runs are byte-identical.  The suite runs in
 one process except for one pass: ``full``'s permutation oracle at n = 9,
 362 880 of the oracle's 409 113 boards, fans its blocks out over one
-process pool with a worker per usable CPU.  Every other count is small,
-and a pool for it would cost more to start than it saves, so ``quick``
-starts no pool.  The counts do not depend on the worker count.  Each
-fixture (fast count, base board, flip list, hypergraph) is built once
-and released with the section that reads it.
+process pool with a worker per usable CPU.  That pass starts first, so
+the pool forks from a small process, and its blocks run while every
+other section runs in this one; its verdicts are collected last, and
+the rows keep their order.  The pool is shut down before the suite
+returns or raises.  Every other count is small, and a pool for it would
+cost more to start than it saves, so ``quick`` starts no pool.  The
+counts do not depend on the worker count.  Each fixture (fast count,
+base board, flip list, hypergraph) is built once and released with the
+section that reads it.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from contextlib import closing
 
 from . import bounds, core, counting, flips, hypergraph
 from .construction import BaseParams, build_base_config, check_units
@@ -57,13 +62,7 @@ def _all_true(name: str, results: dict) -> dict:
     return _agree(name, [(key, True, ok) for key, ok in sorted(results.items())])
 
 
-def _counting_checks(n_max: int, full: bool, fast_c: dict, fast_t: dict) -> list[dict]:
-    oracle = {mode: {} for mode in counting.MODES}
-    for n in range(1, n_max + 1):
-        # Only full's largest pass is worth a pool.
-        threads = usable_cpus() if full and n == n_max else 1
-        for result in counting.oracle_counts(n, counting.MODES, threads):
-            oracle[result.mode][n] = result.count
+def _counting_checks(oracle: dict, fast_c: dict, fast_t: dict) -> list[dict]:
     return [
         _agree(
             "count-classical-matches-oracle",
@@ -322,19 +321,33 @@ def run_verification_suite(level: str = "quick") -> dict:
     k_max = 3 if full else 2
     polya_max = 12 if full else 7
 
-    sizes = range(1, polya_max + 1)
-    fast_c = {n: counting.count_classical(n).count for n in sizes}
-    fast_t = {n: counting.count_toroidal(n).count for n in sizes}
-    bases = {k: build_base_config(k) for k in range(1, k_max + 1)}
-    checks: list[dict] = []
-    checks.extend(_counting_checks(n_max, full, fast_c, fast_t))
-    checks.extend(_board_checks(bases, full))
-    checks.extend(_hypergraph_checks(full, fast_t))
-    checks.extend(_bounds_checks(full))
+    # The largest oracle pass starts first; only full's is worth a pool,
+    # and its blocks run there while every other section runs here.
+    threads = usable_cpus() if full else 1
+    with closing(counting._oracle_pass(n_max, counting.MODES, threads)) as last:
+        sizes = range(1, polya_max + 1)
+        fast_c = {n: counting.count_classical(n).count for n in sizes}
+        fast_t = {n: counting.count_toroidal(n).count for n in sizes}
+        oracle = {mode: {} for mode in counting.MODES}
+        for n in range(1, n_max):
+            for result in counting.oracle_counts(n, counting.MODES):
+                oracle[result.mode][n] = result.count
+        bases = {k: build_base_config(k) for k in range(1, k_max + 1)}
+        board = _board_checks(bases, full)
+        graphs = _hypergraph_checks(full, fast_t)
+        bound = _bounds_checks(full)
+        configs = [bases[1], bases[2], *counting.enumerate_solutions(5, "toroidal")]
+        ok = all(core.parse(core.serialize(c)) == c for c in configs)
+        for result in counting._oracle_tally(n_max, counting.MODES, last):
+            oracle[result.mode][n_max] = result.count
 
-    configs = [bases[1], bases[2], *counting.enumerate_solutions(5, "toroidal")]
-    ok = all(core.parse(core.serialize(c)) == c for c in configs)
-    checks.append(_check("config-serialization-roundtrip", ok, True, ok))
+    checks = [
+        *_counting_checks(oracle, fast_c, fast_t),
+        *board,
+        *graphs,
+        *bound,
+        _check("config-serialization-roundtrip", ok, True, ok),
+    ]
     return {
         "level": level,
         "passed": all(c["passed"] for c in checks),

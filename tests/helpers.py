@@ -257,8 +257,9 @@ def brute_force_perfect_matchings(num_vertices: int, edges) -> int:
 
 def recording_pool(sizes: list):
     """A stand-in for ProcessPoolExecutor that starts no process: each pool
-    appends its ``max_workers`` to ``sizes`` and runs ``map``, and each
-    ``submit`` at once, in this process."""
+    appends its ``max_workers`` to ``sizes`` and runs ``map`` as its
+    results are read, and each ``submit`` at once, in this process;
+    ``shutdown`` has nothing to stop."""
 
     class Pool:
         def __init__(self, max_workers=None):
@@ -272,6 +273,9 @@ def recording_pool(sizes: list):
 
         def map(self, fn, *iterables):
             return map(fn, *iterables)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
 
         def submit(self, fn, *args):
             future = Future()

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import re
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -612,22 +613,57 @@ def test_pooled_oracle_stdout_matches_serial(capsys, monkeypatch, mode):
 
 
 def test_full_verify_pools_only_its_n9_oracle_pass(monkeypatch):
-    sizes, passes = [], []
-    oracle_counts = counting.oracle_counts
+    sizes, events = [], []
+    oracle_pass, count_classical = counting._oracle_pass, counting.count_classical
 
-    def recorded(n, modes, threads=1):
-        passes.append((n, threads))
-        return oracle_counts(n, modes, threads)
+    class Pool(recording_pool(sizes)):
+        def __init__(self, max_workers=None):
+            events.append("pool")
+            super().__init__(max_workers)
 
-    monkeypatch.setattr(counting, "ProcessPoolExecutor", recording_pool(sizes))
-    monkeypatch.setattr(counting, "oracle_counts", recorded)
+    def recorded_pass(n, modes, threads):
+        events.append(("oracle", n, threads))
+        return oracle_pass(n, modes, threads)
+
+    def recorded_count(n, threads=1):
+        events.append(("count", n))
+        return count_classical(n, threads)
+
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(counting, "_oracle_pass", recorded_pass)
+    monkeypatch.setattr(counting, "count_classical", recorded_count)
     for module in (counting, verify):
         monkeypatch.setattr(module, "usable_cpus", lambda: 3)
     report = verify.run_verification_suite("full")
     assert sizes == [3]
-    assert passes == [(n, 1) for n in range(1, 9)] + [(9, 3)]
+    passes = [event[1:] for event in events if event[0] == "oracle"]
+    assert passes == [(9, 3)] + [(n, 1) for n in range(1, 9)]
+    # The n = 9 pool opens before the first fast count and n <= 8 pass.
+    pool = events.index("pool")
+    assert pool < events.index(("count", 1)) and pool < events.index(("oracle", 1, 1))
     pinned = (Path(__file__).parent / "data" / "verify_full.json").read_text(encoding="utf-8")
     assert json.dumps(report, indent=2) + "\n" == pinned
+
+
+def test_full_verify_failure_leaves_no_worker(monkeypatch):
+    sizes = []
+
+    class Pool(ProcessPoolExecutor):  # real worker processes, sizes recorded
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    def broken(bases, full):
+        raise RuntimeError("board section failed")
+
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(verify, "_board_checks", broken)
+    for module in (counting, verify):
+        monkeypatch.setattr(module, "usable_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match="board section failed"):
+        verify.run_verification_suite("full")
+    assert sizes == [2]
+    assert multiprocessing.active_children() == []
 
 
 def test_verify_detects_tampered_validator(capsys, monkeypatch):

@@ -1,7 +1,9 @@
 import gc
 import hashlib
 import math
-from itertools import permutations
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from itertools import islice, permutations, repeat
 
 import pytest
 
@@ -123,6 +125,34 @@ def test_pooled_oracle_equals_serial(monkeypatch, n):
     # n = 1 is one block, the board (0,), and needs no pool.
     if n < 7:
         assert sizes == ([2] if n > 1 else [])
+
+
+def test_fan_out_submits_first_and_reads_in_order(monkeypatch):
+    submitted = []
+
+    class Pool(ProcessPoolExecutor):  # real worker processes, submissions recorded
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(counting, "usable_cpus", lambda: 2)
+    items = list(range(40))
+    results = counting._fan_out(2, pow, (3,), items)
+    # Every task is on the pool before a result is read.
+    assert len(submitted) == len(items) and len(multiprocessing.active_children()) == 2
+    assert list(results) == list(map(pow, repeat(3), items))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("read", [0, 1, 5])
+def test_fan_out_closed_early_leaves_no_worker(monkeypatch, read):
+    monkeypatch.setattr(counting, "usable_cpus", lambda: 2)
+    items = list(range(200))
+    results = counting._fan_out(2, pow, (3,), items)
+    assert list(islice(results, read)) == [3**i for i in range(read)]
+    results.close()
+    assert multiprocessing.active_children() == []
 
 
 def test_oracle_blocks_are_the_first_two_rows(monkeypatch):

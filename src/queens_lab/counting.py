@@ -7,14 +7,17 @@ attacks along it.  Moving down a row, the mask of one family shifts up a
 bit and the other shifts down; on the classical board the bit pushed off
 the edge is dropped, on the torus it re-enters at the other edge.  A
 node is entered only with a nonempty mask of free columns, and it shifts
-its masks once for all its children.  ``_moves`` holds, per free-column
-mask, the row's moves lowest column first, each with the mask of the
-next row's columns that its queen leaves open, so a child's free columns
-cost one AND and a dead child is never entered.  The table has 2^n
-entries and is held for one (n, board) at a time; each pool worker
-builds its own.  enumerate_solutions yields placements in lexicographic
-order.  A brute-force permutation filter
-provides an independent slow check: oracle_counts makes one pass over
+its masks once for all its children.  A row with one free column is a
+forced move: the call places its queen and loops on to the next row
+instead of recursing, so the tree searched, ``nodes_visited`` and the
+enumeration order stay those of the plain recursion.  ``_moves`` holds,
+per free-column mask, the row's moves lowest column first, each with the
+mask of the next row's columns that its queen leaves open, so a child's
+free columns cost one AND and a dead child is never entered.  The table
+has 2^n entries and is held for one (n, board) at a time; each pool
+worker builds its own.  enumerate_solutions yields placements in
+lexicographic order.  A brute-force permutation filter provides an
+independent slow check: oracle_counts makes one pass over
 the n! permutations for any set of modes, building each permutation once
 as a checked QueensConfig (positionally, through the same
 ``__post_init__`` checks as every construction) and handing it to every
@@ -58,7 +61,8 @@ every legal placement tried, the first row included.  It is computed
 through the symmetry, as the weighted sum of the searched subtrees; a
 node adds its free columns, so placements whose next row is dead are
 counted though never entered, and the sum is that of a search that
-entered them.
+entered them.  A forced row followed in the same call adds its one free
+column, as a call would.
 """
 
 from __future__ import annotations
@@ -124,7 +128,7 @@ def _group(n: int, toroidal: bool) -> list[tuple[int, int]]:
     """The column maps x -> (s * x + c) % n, as (s, c), that carry solutions
     onto solutions: the identity and the mirror x -> n - 1 - x on the
     classical board, every translation with and without the reflection
-    x -> -x on the torus."""
+    x -> -x on the torus.  The identity comes first."""
     if toroidal:
         return [(s, c) for s in (1, -1) for c in range(n)]
     return [(1, 0), (-1, n - 1)]
@@ -202,22 +206,34 @@ def _subtree(
 
     # Entered with the nonempty ``free`` columns of row y and the diagonal
     # attacks on row y; a child is searched only if it has a free column.
+    # A row with one free column is placed here and the loop moves on to
+    # the next row, as the one child's call would.
     def rec(y: int, free: int, cols: int, up: int, down: int) -> int:
         nonlocal nodes
-        count = free.bit_count()
-        nodes += count
-        if y == last:
-            if out is not None:
-                for move in table[free]:
-                    rows[y] = move[0]
-                    out.append(tuple(rows))
-            return count
-        if toroidal:
-            up, down = (up << 1 | up >> last) & full, down >> 1 | (down & 1) << last
-        else:
-            # Bits shifted past column n - 1 are dropped by ``full`` below.
-            up, down = up << 1, down >> 1
-        base = full & ~(cols | up | down)
+        while True:
+            count = free.bit_count()
+            nodes += count
+            if y == last:
+                if out is not None:
+                    for move in table[free]:
+                        rows[y] = move[0]
+                        out.append(tuple(rows))
+                return count
+            if toroidal:
+                up, down = (up << 1 | up >> last) & full, down >> 1 | (down & 1) << last
+            else:
+                # Bits shifted past column n - 1 are dropped by ``full`` below.
+                up, down = up << 1, down >> 1
+            base = full & ~(cols | up | down)
+            if count > 1:
+                break
+            ((x, bit, keep, to_up, to_down),) = table[free]
+            free = base & keep
+            if not free:
+                return 0
+            rows[y] = x
+            y += 1
+            cols, up, down = cols | bit, up | to_up, down | to_down
         total = 0
         y1 = y + 1
         for x, bit, keep, to_up, to_down in table[free]:
@@ -382,8 +398,10 @@ def enumerate_solutions(n: int, mode: str) -> list[QueensConfig]:
     found: list[tuple[int, ...]] = []
     for prefix, _ in _tasks(n, toroidal):
         _subtree(n, toroidal, prefix, found)
-    group = _group(n, toroidal)
     # The searched boards keep their own tuples: equal images are not added.
+    # The group's first map is the identity; each other map is a column table.
     boards = set(found)
-    boards.update(tuple((s * x + c) % n for x in p) for p in found for s, c in group)
+    for s, c in _group(n, toroidal)[1:]:
+        table = [(s * x + c) % n for x in range(n)]
+        boards.update(tuple(map(table.__getitem__, p)) for p in found)
     return [QueensConfig(n=n, p=p) for p in sorted(boards)]

@@ -13,15 +13,21 @@ plain ints: a float or bool one is refused when the hypergraph is built.
 
 The exact-cover search reads bitmask tables built straight from the
 edge lists: each edge's vertex set, the edges through each vertex, and
-the edges meeting each edge.  It keeps the edges still usable as a
-bitmask over edge indices, ``alive``.  Each node branches on the uncovered vertex with
-the fewest alive edges, the lowest id on ties (Knuth's column choice in
-*Dancing Links*, arXiv cs/0011047), and returns 0 as soon as some
-uncovered vertex has none; a child drops the edges meeting its chosen
-edge with one AND against a precomputed conflict row.  The branching
-choice reads only vertex ids and edge sets, so the node count does not
-depend on edge order.  When the gcd of the edge sizes does not divide
-the vertex count, no perfect matching exists and nothing is searched.
+the edges meeting each edge.  It keeps the uncovered vertices and the
+edges still usable, ``alive``, as bitmasks.  Each node branches on the
+uncovered vertex with the fewest alive edges, the lowest id on ties
+(Knuth's column choice in *Dancing Links*, arXiv cs/0011047), and
+returns 0 as soon as some uncovered vertex has none; a child drops the
+edges meeting its chosen edge with one AND against a precomputed
+conflict row.  Every candidate edge of every node is one node of the
+count.  A node charges all its candidates to the budget at once, and an
+overrun raises SearchBudgetError(budget + 1, budget), the error of
+trying the edges one at a time.  A vertex with one candidate is covered
+in the same call, and a child that covers every vertex counts 1 without
+a call.  The branching choice reads only vertex ids and edge sets, so
+the node count does not depend on edge order.  When the gcd of the edge
+sizes does not divide the vertex count, no perfect matching exists and
+nothing is searched.
 
 With ``threads`` > 1 the root's subtrees go to a process pool whose class
 is imported on the first fan-out, one per free worker.  Each worker
@@ -321,35 +327,52 @@ def _fewest_candidates(incident: list[int], free: int, alive: int) -> int:
 
 
 def _cover_search(
-    tables: _CoverTables, cover: int, alive: int, budget: int
+    tables: _CoverTables, uncovered: int, alive: int, budget: int
 ) -> tuple[int, int]:
-    """Count the exact covers of the vertices outside ``cover`` by the
-    edges of ``alive``, as (count, nodes); every edge tried is a node.
+    """Count the exact covers of the vertices ``uncovered`` by the edges of
+    ``alive``, each of which lies within ``uncovered``, as (count, nodes);
+    every candidate edge of every node is a node.
 
     Branches on the uncovered vertex with the fewest alive edges, the
     lowest id on ties (Knuth's column choice), so the search tree, and
-    with it the node count, does not depend on edge order.
+    with it the node count, does not depend on edge order.  A node
+    charges all its candidates to the budget at once and raises
+    SearchBudgetError(budget + 1, budget) when they pass it, the error of
+    trying the first edge past it.  A vertex with one candidate is covered
+    in the same call, and a child that covers every vertex counts 1
+    without a call.
     """
-    full, masks, incident, conflict = tables
+    _, masks, incident, conflict = tables
     nodes = 0
 
-    def rec(cover: int, alive: int) -> int:
+    # Entered with a nonempty ``uncovered``.  A vertex with one candidate is
+    # covered here and the loop moves on, as the one child's call would.
+    def rec(uncovered: int, alive: int) -> int:
         nonlocal nodes
-        if cover == full:
-            return 1
-        cand = _fewest_candidates(incident, full & ~cover, alive)
+        while True:
+            cand = _fewest_candidates(incident, uncovered, alive)
+            nodes += cand.bit_count()
+            if nodes > budget:
+                raise SearchBudgetError(nodes_visited=budget + 1, budget=budget)
+            if cand & (cand - 1):
+                break
+            if not cand:
+                return 0
+            i = cand.bit_length() - 1
+            uncovered ^= masks[i]
+            if not uncovered:
+                return 1
+            alive &= ~conflict[i]
         total = 0
         while cand:
             low = cand & -cand
             cand ^= low
             i = low.bit_length() - 1
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetError(nodes_visited=nodes, budget=budget)
-            total += rec(cover | masks[i], alive & ~conflict[i])
+            rest = uncovered ^ masks[i]
+            total += rec(rest, alive & ~conflict[i]) if rest else 1
         return total
 
-    count = rec(cover, alive)
+    count = rec(uncovered, alive) if uncovered else 1
     del rec  # rec holds itself through its closure; this breaks the cycle
     return count, nodes
 
@@ -362,9 +385,10 @@ def count_perfect_matchings(hg: Hypergraph, threads: int = 1) -> int:
     not divide it, the answer is 0 without a search.  Otherwise an exact
     cover search branches on the uncovered vertex with the fewest
     candidate edges (the lowest id on ties) and raises SearchBudgetError
-    once it has tried more edges than the "nodes" cap, read at call
-    time.  An instance whose search tables would exceed the "table_bits"
-    cap is refused with SizeLimitError first.  With ``threads`` > 1 the
+    once its nodes, the candidate edges of every vertex it branches on,
+    pass the "nodes" cap, read at call time.  An instance whose search
+    tables would exceed the "table_bits" cap is refused with
+    SizeLimitError first.  With ``threads`` > 1 the
     subtrees below the root's candidate edges are counted in a process
     pool of at most one worker per subtree and per CPU.  The root's
     candidates plus the subtree nodes are the serial node count, and the
@@ -404,12 +428,12 @@ def count_perfect_matchings(hg: Hypergraph, threads: int = 1) -> int:
 
         share = budget - len(edges)
         nodes, count = len(edges), 0
-        subtrees = ((tables.masks[i], alive & ~tables.conflict[i]) for i in edges)
+        subtrees = ((tables.full ^ tables.masks[i], alive & ~tables.conflict[i]) for i in edges)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             running = set()
             while nodes <= budget:
-                for cover, live in islice(subtrees, workers - len(running)):
-                    running.add(pool.submit(_cover_search, tables, cover, live, share))
+                for uncovered, live in islice(subtrees, workers - len(running)):
+                    running.add(pool.submit(_cover_search, tables, uncovered, live, share))
                 if not running:
                     return count
                 done, running = wait(running, return_when=FIRST_COMPLETED)
@@ -422,7 +446,7 @@ def count_perfect_matchings(hg: Hypergraph, threads: int = 1) -> int:
                     nodes += searched
         # Over budget: the subtrees still running finished as the pool closed.
         raise SearchBudgetError(nodes_visited=budget + 1, budget=budget)
-    count, _ = _cover_search(tables, 0, alive, budget)
+    count, _ = _cover_search(tables, tables.full, alive, budget)
     return count
 
 

@@ -292,4 +292,4 @@ def cover_count(num_vertices: int, edges) -> tuple[int, int]:
     """(count, nodes) of the package's serial exact-cover search over all
     the vertex tuples ``edges``, with a budget it never reaches."""
     tables = hypergraph._cover_tables(num_vertices, edges)
-    return hypergraph._cover_search(tables, 0, (1 << len(edges)) - 1, 10**9)
+    return hypergraph._cover_search(tables, tables.full, (1 << len(edges)) - 1, 10**9)

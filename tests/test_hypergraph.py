@@ -468,6 +468,23 @@ def test_cover_search_does_not_depend_on_edge_order(hg):
         assert cover_count(hg.num_vertices, shuffled) == expected
 
 
+@pytest.mark.parametrize(
+    "hg, expected",
+    [
+        (build_sudoku_hg(2), (288, 2_156)),
+        (build_torus_queens_hg(11), (88, 6_182)),
+        (build_torus_queens_hg(13), (4_524, 81_632)),
+        (build_transversal_hg(cyclic_latin_square(11)), (37_851, 215_646)),
+    ],
+    ids=["sudoku-2", "torus-11", "torus-13", "transversal-11"],
+)
+def test_cover_search_tree_is_pinned(hg, expected):
+    # (count, nodes) of the serial search: every candidate edge of every
+    # node is one node, so a change to the branching rule or to how forced
+    # vertices are followed shows here.
+    assert cover_count(hg.num_vertices, hg.edges) == expected
+
+
 def test_matching_counts_match_brute_force():
     seen = Counter()
     for seed in range(300):

@@ -38,6 +38,12 @@ class RowProfile:
     by_one: int
 
 
+def _check_int(name: str, value) -> None:
+    """Refuse a bool or non-int size before anything is computed."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def diagonal_exposure(n: int, i: int, j: int) -> int:
     """Number of squares sharing a diagonal with (i, j), excluding itself.
 
@@ -52,7 +58,9 @@ def diagonal_exposure(n: int, i: int, j: int) -> int:
 
 def diagonal_exposure_matrix(n: int) -> list[list[int]]:
     """diagonal_exposure at every square, row i and column j.  Refuses
-    n < 1 and n above the "dmatrix" cap before building anything."""
+    a non-integer n, n < 1 and n above the "dmatrix" cap before building
+    anything."""
+    _check_int("board size", n)
     if n < 1:
         raise InvalidConfigError(f"board size must be >= 1, got {n}")
     check_cap("dmatrix", n, f"board size {n}")
@@ -164,8 +172,9 @@ def classical_alpha(method: str = "closed_form") -> float:
 
 
 def _bound_log(n: int, c: float) -> float:
-    """n (log n - c), the log of (n / e^c)^n; refuses n < 1, and any n at
-    which that value is not a finite float."""
+    """n (log n - c), the log of (n / e^c)^n; refuses a non-integer n,
+    n < 1, and any n at which that value is not a finite float."""
+    _check_int("n", n)
     if n < 1:
         raise InvalidConfigError(f"n must be >= 1, got {n}")
     try:

@@ -11,7 +11,11 @@ Construction accepts a plain tuple of n distinct plain ints in 0 .. n-1
 at once, by a type check and one set comparison against a cached
 ``range(n)`` set; any other input goes through the field-by-field checks,
 which name the first fault.  Either way the checks run in
-``__post_init__``, once per construction, positional or keyword.
+``__post_init__``, once per construction, positional or keyword.  Boards
+are frozen and slotted: a QueensConfig holds its two fields and no
+per-instance ``__dict__``, since enumeration keeps every solution as a
+board.  ``__post_init__`` stays a class attribute, so a wrapper set on
+the class sees every construction.
 
 The predicates is_classical and is_toroidal decide validity from set
 sizes alone: a placement is valid exactly when each diagonal family takes
@@ -42,7 +46,7 @@ class Square(NamedTuple):
     y: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueensConfig:
     """A placement of n queens, one per row, as a column permutation.
 

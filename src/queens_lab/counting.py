@@ -391,7 +391,12 @@ def oracle_count(n: int, mode: str, threads: int = 1) -> CountResult:
 
 
 def enumerate_solutions(n: int, mode: str) -> list[QueensConfig]:
-    """All solutions in lexicographic order of p."""
+    """All solutions in lexicographic order of p.
+
+    The result holds every board, so its memory grows with Q(n) or T(n).
+    The searched list and the image set are freed before the first board
+    is built, so the peak is little more than the result itself.
+    """
     _check_mode(mode)
     _check_size(n, "count")
     toroidal = mode == "toroidal"
@@ -400,8 +405,11 @@ def enumerate_solutions(n: int, mode: str) -> list[QueensConfig]:
         _subtree(n, toroidal, prefix, found)
     # The searched boards keep their own tuples: equal images are not added.
     # The group's first map is the identity; each other map is a column table.
-    boards = set(found)
+    images = set(found)
     for s, c in _group(n, toroidal)[1:]:
         table = [(s * x + c) % n for x in range(n)]
-        boards.update(tuple(map(table.__getitem__, p)) for p in found)
-    return [QueensConfig(n=n, p=p) for p in sorted(boards)]
+        images.update(tuple(map(table.__getitem__, p)) for p in found)
+    del found
+    ordered = sorted(images)
+    del images
+    return [QueensConfig(n=n, p=p) for p in ordered]

@@ -79,6 +79,12 @@ def _capped_comb(n: int, r: int, limit: int) -> int:
     return c
 
 
+def _check_int(name: str, value) -> None:
+    """Refuse a bool or non-int builder size before anything is built."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidHypergraphError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """Vertex count plus a duplicate-free list of sorted edges."""
@@ -127,6 +133,7 @@ def build_torus_queens_hg(n: int) -> Hypergraph:
     layout: rows 0..n-1, columns n..2n-1, plus-diagonals 2n..3n-1,
     minus-diagonals 3n..4n-1.
     """
+    _check_int("board size", n)
     if n < 1:
         raise InvalidHypergraphError(f"board size must be >= 1, got {n}")
     check_cap("edges", n * n, f"torus board of size {n}")
@@ -156,6 +163,7 @@ def validate_latin_square(latin: list[list[int]]) -> int:
 
 
 def cyclic_latin_square(n: int) -> list[list[int]]:
+    _check_int("Latin order", n)
     check_cap("edges", max(n, 0) ** 2, f"cyclic Latin square of order {n}")
     return [[(i + j) % n for j in range(n)] for i in range(n)]
 
@@ -179,6 +187,7 @@ def build_sudoku_hg(b: int) -> Hypergraph:
     one edge per (cell, symbol) choice gives n^3 edges.  Perfect
     matchings are exactly the completed Sudoku squares.
     """
+    _check_int("box size", b)
     if b < 2:
         raise InvalidHypergraphError(f"box size must be >= 2, got {b}")
     check_cap("edges", b**6, f"Sudoku of box size {b}")
@@ -198,6 +207,8 @@ def build_steiner_aux_hg(n: int, q: int, r: int) -> Hypergraph:
     (n, q, r)-Steiner systems: r-subsets as vertices, one edge per
     q-subset bundling all its r-subsets, comb(n, q) * comb(q, r)
     incidences in all."""
+    for name, value in (("n", n), ("q", q), ("r", r)):
+        _check_int(name, value)
     if not 0 < r < q < n:
         raise InvalidHypergraphError(f"need 0 < r < q < n, got ({n}, {q}, {r})")
     for size in (r, q):

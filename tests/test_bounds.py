@@ -56,6 +56,26 @@ def test_exposure_matrix_is_bounded_before_it_builds(monkeypatch):
             diagonal_exposure_matrix(n)
 
 
+@pytest.mark.parametrize(
+    "view,n",
+    [
+        (diagonal_exposure_matrix, True),
+        (diagonal_exposure_matrix, 5.0),
+        (torus_bound_log, True),
+        (torus_bound_log, 5.0),
+        (classical_bound_log, True),
+        (classical_bound_log, 7.5),
+    ],
+)
+def test_size_views_refuse_non_integer_sizes(monkeypatch, view, n):
+    def no_cap(*args):
+        raise AssertionError("size checked against a cap")
+
+    monkeypatch.setattr(bounds, "check_cap", no_cap)
+    with pytest.raises(InvalidConfigError, match=f"must be an integer, got {n!r}$"):
+        view(n)
+
+
 def test_exposure_out_of_range():
     with pytest.raises(InvalidConfigError):
         diagonal_exposure(5, 5, 0)

@@ -128,6 +128,42 @@ def test_construction_matches_field_checks(n, p):
         assert QueensConfig(n, p) == QueensConfig(n=n, p=p)
 
 
+def test_boards_are_slotted_and_frozen():
+    import copy
+    import pickle
+    from dataclasses import FrozenInstanceError
+
+    board = cfg([1, 3, 0, 2])
+    assert not hasattr(board, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        board.p = (2, 0, 3, 1)
+    with pytest.raises(AttributeError):
+        object.__setattr__(board, "extra", 1)
+    for twin in (pickle.loads(pickle.dumps(board)), copy.deepcopy(board)):
+        assert twin is not board
+        assert twin == board and hash(twin) == hash(board)
+        assert type(twin.p) is tuple and twin.p == (1, 3, 0, 2)
+
+
+def test_post_init_patched_on_the_class_runs_for_every_board(monkeypatch):
+    # perfbench/tracer.py counts boards by wrapping __post_init__ on the
+    # class; a slotted class must still call it for every construction.
+    from queens_lab.counting import enumerate_solutions
+
+    checks = QueensConfig.__post_init__
+    built = []
+
+    def counted(config):
+        checks(config)
+        built.append(config.p)
+
+    monkeypatch.setattr(QueensConfig, "__post_init__", counted)
+    solutions = enumerate_solutions(8, "classical")
+    cfg([0])
+    QueensConfig(n=2, p=[1, 0])
+    assert built == [c.p for c in solutions] + [(0,), (1, 0)]
+
+
 def test_serialize_schema():
     assert serialize(cfg([0, 2, 4, 1, 3])) == '{"n":5,"p":[0,2,4,1,3]}'
 

@@ -296,6 +296,38 @@ def test_enumerate_matches_count():
         assert len(enumerate_solutions(n, "toroidal")) == count_toroidal(n).count
 
 
+def test_enumeration_frees_its_working_set_before_the_boards():
+    # The peak traced while enumerating is barely above what the returned
+    # boards hold: the searched list and the image set are gone by then.
+    # A fresh interpreter, so that the measurement sees only this call.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import queens_lab
+
+    script = (
+        "import tracemalloc\n"
+        "from queens_lab.counting import enumerate_solutions\n"
+        "tracemalloc.start()\n"
+        "solutions = enumerate_solutions(12, 'classical')\n"
+        "held, peak = tracemalloc.get_traced_memory()\n"
+        "print(len(solutions), held, peak)\n"
+    )
+    src = str(Path(queens_lab.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    count, held, peak = map(int, done.stdout.split())
+    assert count == 14200
+    assert peak <= 1.10 * held
+
+
 # Search-tree sizes of the row-by-row DFS, n = 1..13: every legal
 # placement tried, the first row included.
 CLASSICAL_NODES = [

@@ -146,6 +146,30 @@ def test_steiner_guards(monkeypatch):
         build_steiner_aux_hg(60, 5, 2)
 
 
+@pytest.mark.parametrize(
+    "build,args",
+    [
+        (build_torus_queens_hg, (True,)),
+        (build_torus_queens_hg, (5.0,)),
+        (cyclic_latin_square, (True,)),
+        (cyclic_latin_square, (3.0,)),
+        (build_sudoku_hg, (True,)),
+        (build_sudoku_hg, (2.0,)),
+        (build_steiner_aux_hg, (7.0, 3, 2)),
+        (build_steiner_aux_hg, (7, 3.0, 2)),
+        (build_steiner_aux_hg, (7, 3, True)),
+    ],
+)
+def test_builders_refuse_non_integer_sizes(monkeypatch, build, args):
+    def no_cap(*args):
+        raise AssertionError("size checked against a cap")
+
+    monkeypatch.setattr(hypergraph, "check_cap", no_cap)
+    bad = next(v for v in args if type(v) is not int)
+    with pytest.raises(InvalidHypergraphError, match=f"must be an integer, got {bad!r}$"):
+        build(*args)
+
+
 def test_steiner_size_is_refused_before_the_binomial():
     start = time.process_time()
     with pytest.raises(SizeLimitError, match=r"\(1000000,500001,500000\) exceeds the edge cap"):

@@ -18,6 +18,7 @@ _EXPORTS = {
         "RowProfile",
         "attack_profiles",
         "classical_alpha",
+        "classical_alpha_enclosure",
         "classical_bound_log",
         "concentric_lower_bound",
         "concentric_sum",
@@ -67,7 +68,7 @@ _EXPORTS = {
         "relabel_vertices",
         "stats",
     ),
-    "quadrature": ("Enclosure", "QuadratureResult", "adaptive_simpson", "enclose"),
+    "quadrature": ("Enclosure", "enclose"),
     "verify": ("run_verification_suite",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

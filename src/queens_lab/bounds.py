@@ -8,10 +8,11 @@ total sum(2 * by_three + by_two) equals the summed diagonal exposure
 D(i, j) over the queens, a quantity constant on concentric square rings
 and bounded below by (5/4) n^2 - 6n.  The analytic side: the classical-
 board constant alpha = 3 - 2 sqrt(3/5) arctan(sqrt(5/3)) ~ 1.5875 in
-Q(n) <= (n / e^alpha)^n, by its closed form or by adaptive quadrature of
+Q(n) <= (n / e^alpha)^n, in closed form and as a certified bracket of
 its integral definition alpha = 1 - integral_0^1 log((5/8) x^2 + 3/8) dx,
 and the log bounds n (log n - c) built on it.  ``quadrature.enclose``
-gives certified ends for the bound integrals; verify's rows read it.
+gives certified ends for alpha and the bound integrals; verify's rows
+read them.
 
 All finite-n comparisons against actual counts are reports, never
 assertions: the bounds hold asymptotically, with a vanishing-order
@@ -25,7 +26,9 @@ from dataclasses import dataclass
 
 from .core import QueensConfig, is_classical
 from .errors import InvalidConfigError, check_cap
-from .quadrature import adaptive_simpson
+from .quadrature import Enclosure, enclose
+
+ALPHA_PANELS = 10_000  # panels of each shaped piece of alpha's integral
 
 
 @dataclass(frozen=True)
@@ -44,15 +47,31 @@ def _check_int(name: str, value) -> None:
         raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_board_size(n) -> None:
+    _check_int("board size", n)
+    if n < 1:
+        raise InvalidConfigError(f"board size must be >= 1, got {n}")
+
+
 def diagonal_exposure(n: int, i: int, j: int) -> int:
     """Number of squares sharing a diagonal with (i, j), excluding itself.
 
     Equals (n - 3) + 2 * min(i + 1, j + 1, n - i, n - j) in 0-based
     coordinates: constant on concentric square rings, growing by 2 per
-    ring inward.
+    ring inward.  Refuses a non-integer n, i or j, n < 1 and a square
+    off the board.
     """
+    _check_board_size(n)
+    _check_int("row", i)
+    _check_int("column", j)
     if not (0 <= i < n and 0 <= j < n):
         raise InvalidConfigError(f"position ({i}, {j}) outside board of size {n}")
+    return _exposure(n, i, j)
+
+
+def _exposure(n: int, i: int, j: int) -> int:
+    """diagonal_exposure without its checks, for callers that loop over
+    squares already on the board."""
     return (n - 3) + 2 * min(i + 1, j + 1, n - i, n - j)
 
 
@@ -60,11 +79,9 @@ def diagonal_exposure_matrix(n: int) -> list[list[int]]:
     """diagonal_exposure at every square, row i and column j.  Refuses
     a non-integer n, n < 1 and n above the "dmatrix" cap before building
     anything."""
-    _check_int("board size", n)
-    if n < 1:
-        raise InvalidConfigError(f"board size must be >= 1, got {n}")
+    _check_board_size(n)
     check_cap("dmatrix", n, f"board size {n}")
-    return [[diagonal_exposure(n, i, j) for j in range(n)] for i in range(n)]
+    return [[_exposure(n, i, j) for j in range(n)] for i in range(n)]
 
 
 def attack_profiles(config: QueensConfig) -> list[RowProfile]:
@@ -143,7 +160,7 @@ def check_lemmas(n: int) -> dict:
         if any(sum(row) != n - 1 for row in counts):
             sums_ok = False
         lhs = _pair_sum(counts)
-        rhs = sum(diagonal_exposure(n, y, x) for x, y in config.squares())
+        rhs = sum(_exposure(n, y, x) for x, y in config.squares())
         identity_ok = identity_ok and lhs == rhs
         inequality_ok = inequality_ok and lhs >= floor
     return {
@@ -156,19 +173,39 @@ def check_lemmas(n: int) -> dict:
     }
 
 
-def classical_alpha(method: str = "closed_form") -> float:
-    """The classical-board bound constant, by either route.
+def classical_alpha() -> float:
+    """The classical-board bound constant 3 - 2 sqrt(3/5) arctan(sqrt(5/3)),
+    the closed form of 1 - integral_0^1 log((5/8) x^2 + 3/8) dx.
+    classical_alpha_enclosure brackets the integral form."""
+    return 3.0 - 2.0 * math.sqrt(3.0 / 5.0) * math.atan(math.sqrt(5.0 / 3.0))
 
-    closed_form: 3 - 2 sqrt(3/5) arctan(sqrt(5/3)).
-    quadrature:  1 - integral_0^1 log((5/8) x^2 + 3/8) dx.
-    The two agree to 1e-9 and lie strictly between 1.587 and 1.588.
+
+def classical_alpha_enclosure() -> Enclosure:
+    """Certified bounds on alpha = 1 - integral_0^1 f, f(x) = log((5/8) x^2 + 3/8).
+
+    f'' has the sign of 3/5 - x^2, so f is convex on [0, c] and concave
+    on [c, 1], c = sqrt(3/5).  Each piece is mapped onto [0, 1]:
+    integral_0^c f = integral_0^1 c f(c t) dt and integral_c^1 f =
+    integral_0^1 (1 - c) f(c + (1 - c) t) dt, and enclosed with its
+    shape at ALPHA_PANELS panels; the bracket is below 1e-9 wide.  The
+    two pieces meet at the rounded c, so together they cover [0, 1]
+    exactly; between the rounded and the true c, an ulp at most, f'' is
+    all but zero, and the few roundings of the sums are far inside
+    enclose's margins.
     """
-    if method == "closed_form":
-        return 3.0 - 2.0 * math.sqrt(3.0 / 5.0) * math.atan(math.sqrt(5.0 / 3.0))
-    if method == "quadrature":
-        result = adaptive_simpson(lambda x: math.log(0.625 * x * x + 0.375), 0.0, 1.0, tol=1e-12)
-        return 1.0 - result.value
-    raise InvalidConfigError(f"method must be 'closed_form' or 'quadrature', got {method!r}")
+    c = math.sqrt(0.6)
+    d = 1.0 - c
+
+    def f(x: float) -> float:
+        return math.log(0.625 * x * x + 0.375)
+
+    convex = enclose(lambda t: c * f(c * t), ALPHA_PANELS, "convex")
+    concave = enclose(lambda t: d * f(c + d * t), ALPHA_PANELS, "concave")
+    return Enclosure(
+        lower=1.0 - (convex.upper + concave.upper),
+        upper=1.0 - (convex.lower + concave.lower),
+        evaluations=convex.evaluations + concave.evaluations,
+    )
 
 
 def _bound_log(n: int, c: float) -> float:
@@ -194,4 +231,4 @@ def torus_bound_log(n: int) -> float:
 
 def classical_bound_log(n: int) -> float:
     """log of the classical-count upper bound (n / e^alpha)^n: n (log n - alpha)."""
-    return _bound_log(n, classical_alpha("closed_form"))
+    return _bound_log(n, classical_alpha())

@@ -277,16 +277,15 @@ def _run_bounds(args) -> Any:
     from . import bounds
 
     if args.alpha:
-        closed = bounds.classical_alpha("closed_form")
-        quad = bounds.classical_alpha("quadrature")
-        return {"closed_form": closed, "quadrature": quad, "difference": abs(closed - quad)}
+        closed, bracket = bounds.classical_alpha(), bounds.classical_alpha_enclosure()
+        return {"closed_form": closed, "lower": bracket.lower, "upper": bracket.upper}
     if args.torus_log is not None:
         return {"n": args.torus_log, "log_bound": bounds.torus_bound_log(args.torus_log)}
     if args.classical_log is not None:
         return {
             "n": args.classical_log,
             "log_bound": bounds.classical_bound_log(args.classical_log),
-            "alpha": bounds.classical_alpha("closed_form"),
+            "alpha": bounds.classical_alpha(),
         }
     if args.dmatrix is not None:
         return {"n": args.dmatrix, "matrix": bounds.diagonal_exposure_matrix(args.dmatrix)}

@@ -47,7 +47,7 @@ CAPS = {
     "incidences": 10**7,
     "table_bits": 2**30,  # perfect-matching search tables, 128 MiB
     "nodes": 5 * 10**7,  # node budget of count_perfect_matchings
-    "evals": 2_000_000,  # evaluation budget of one adaptive_simpson call
+    "evals": 2_000_000,  # integrand evaluations of one enclose call, checked before the first
 }
 _ENV_CAP = "QUEENS_LAB_CAP"
 # How a SizeLimitError names a cap, where not as plain "cap".
@@ -166,6 +166,6 @@ class SearchBudgetError(QueensLabError):
 
 
 class QuadratureError(QueensLabError):
-    """Requested integration tolerance unreachable within the evaluation budget."""
+    """An enclosure request that is malformed or needs more evaluations than the cap."""
 
     code = "quadrature-error"

@@ -164,7 +164,9 @@ def validate_latin_square(latin: list[list[int]]) -> int:
 
 def cyclic_latin_square(n: int) -> list[list[int]]:
     _check_int("Latin order", n)
-    check_cap("edges", max(n, 0) ** 2, f"cyclic Latin square of order {n}")
+    if n < 1:
+        raise InvalidHypergraphError(f"Latin order must be >= 1, got {n}")
+    check_cap("edges", n * n, f"cyclic Latin square of order {n}")
     return [[(i + j) % n for j in range(n)] for i in range(n)]
 
 

@@ -280,14 +280,15 @@ def _bounds_checks(full: bool) -> list[dict]:
         )
     )
 
-    alpha_cf = bounds.classical_alpha("closed_form")
-    alpha_q = bounds.classical_alpha("quadrature")
+    alpha = bounds.classical_alpha()
+    bracket = bounds.classical_alpha_enclosure()
     checks.append(
         _check(
             "alpha-closed-form-vs-quadrature",
-            abs(alpha_cf - alpha_q) <= 1e-9 and 1.587 < alpha_cf < 1.588,
-            "agree to 1e-9 within (1.587, 1.588)",
-            [alpha_cf, alpha_q],
+            1.587 < bracket.lower <= alpha <= bracket.upper < 1.588
+            and bracket.upper - bracket.lower <= 1e-9,
+            "closed form inside a certified bracket at most 1e-9 wide, within (1.587, 1.588)",
+            [alpha, bracket.lower, bracket.upper],
         )
     )
 

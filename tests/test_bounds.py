@@ -3,11 +3,12 @@ import math
 import pytest
 
 from queens_lab import bounds, counting, errors
-from queens_lab.quadrature import ROUNDING_MARGIN, adaptive_simpson, enclose
+from queens_lab.quadrature import ROUNDING_MARGIN, enclose
 from queens_lab.verify import PANELS
 from queens_lab.bounds import (
     attack_profiles,
     classical_alpha,
+    classical_alpha_enclosure,
     classical_bound_log,
     concentric_lower_bound,
     concentric_sum,
@@ -79,6 +80,21 @@ def test_size_views_refuse_non_integer_sizes(monkeypatch, view, n):
 def test_exposure_out_of_range():
     with pytest.raises(InvalidConfigError):
         diagonal_exposure(5, 5, 0)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((5.0, 0, 0), "board size must be an integer, got 5.0"),
+        ((True, 0, 0), "board size must be an integer, got True"),
+        ((5, 2.5, 0), "row must be an integer, got 2.5"),
+        ((5, 0, False), "column must be an integer, got False"),
+        ((0, 0, 0), "board size must be >= 1, got 0"),
+    ],
+)
+def test_exposure_refuses_malformed_arguments(args, message):
+    with pytest.raises(InvalidConfigError, match=f"^{message}$"):
+        diagonal_exposure(*args)
 
 
 def test_attack_profiles_frozen_example():
@@ -154,19 +170,38 @@ def test_log_gap_mixed_coefficients_reported():
 
 
 def test_alpha_interval_and_agreement():
-    closed = classical_alpha("closed_form")
-    quad = classical_alpha("quadrature")
-    assert 1.587 < closed < 1.588
-    assert abs(closed - quad) <= 1e-9
+    closed = classical_alpha()
+    bracket = classical_alpha_enclosure()
+    assert 1.587 < bracket.lower <= closed <= bracket.upper < 1.588
+    assert bracket.upper - bracket.lower <= 1e-9
+    assert bracket.evaluations == 2 * (2 * bounds.ALPHA_PANELS + 1)
     assert closed == pytest.approx(ALPHA_CLOSED)
-    with pytest.raises(InvalidConfigError):
-        classical_alpha("guess")
+    assert bracket.lower <= 1.587541113191774 <= bracket.upper
+
+
+def _alpha_antiderivative(x: float) -> float:
+    # d/dx [x log(a x^2 + b) - 2x + 2 sqrt(b/a) atan(x sqrt(a/b))] = log(a x^2 + b)
+    c = math.sqrt(0.6)
+    return x * math.log(0.625 * x * x + 0.375) - 2.0 * x + 2.0 * c * math.atan(x / c)
 
 
 def test_alpha_integrand_value():
-    value = adaptive_simpson(lambda x: math.log(0.625 * x * x + 0.375), 0.0, 1.0, tol=1e-12).value
-    assert value == pytest.approx(-2.0 + 2.0 * math.sqrt(0.6) * math.atan(math.sqrt(5.0 / 3.0)), abs=1e-9)
-    assert -0.588 < value < -0.587
+    # Each shaped piece of alpha's integral brackets its own closed form,
+    # and the wrong shape on either piece misses it.
+    f = lambda x: math.log(0.625 * x * x + 0.375)
+    c = math.sqrt(0.6)
+    d = 1.0 - c
+    pieces = [
+        (lambda t: c * f(c * t), "convex", _alpha_antiderivative(c)),
+        (lambda t: d * f(c + d * t), "concave", _alpha_antiderivative(1.0) - _alpha_antiderivative(c)),
+    ]
+    for g, shape, exact in pieces:
+        right = enclose(g, 100, shape)
+        assert right.lower <= exact <= right.upper
+        wrong = enclose(g, 100, "concave" if shape == "convex" else "convex")
+        assert not wrong.lower <= exact <= wrong.upper
+    assert -0.588 < _alpha_antiderivative(1.0) < -0.587
+    assert 1.0 - _alpha_antiderivative(1.0) == pytest.approx(ALPHA_CLOSED, abs=1e-15)
 
 
 def test_bound_logs():

@@ -129,13 +129,23 @@ def test_nodes_cap_is_the_default_budget(monkeypatch):
 
 
 def test_evals_cap_is_the_quadrature_budget(monkeypatch):
-    def sine():
-        return quadrature.adaptive_simpson(math.sin, 0.0, math.pi, tol=1e-10)
+    # A shaped enclosure costs 2 * panels + 1 evaluations, and the cap is
+    # checked against that count before the integrand is called.
+    calls = []
 
-    evals = sine().evaluations
-    monkeypatch.setitem(errors.CAPS, "evals", evals)
-    assert sine().evaluations == evals
-    monkeypatch.setitem(errors.CAPS, "evals", evals - 1)
-    refusal = f"^evaluation budget {evals - 1} exhausted before tolerance 1e-10$"
+    def sine(x):
+        calls.append(x)
+        return math.sin(x)
+
+    panels = bounds.ALPHA_PANELS
+    monkeypatch.setitem(errors.CAPS, "evals", 2 * panels + 1)
+    assert quadrature.enclose(sine, panels, "concave").evaluations == len(calls) == 2 * panels + 1
+    assert bounds.classical_alpha_enclosure().evaluations == 2 * (2 * panels + 1)
+    monkeypatch.setitem(errors.CAPS, "evals", 2 * panels)
+    refusal = rf"^panels must be an integer in \[1, {panels - 1}\], got {panels}$"
+    calls.clear()
     with pytest.raises(QuadratureError, match=refusal):
-        sine()
+        quadrature.enclose(sine, panels, "concave")
+    assert calls == []
+    with pytest.raises(QuadratureError, match=refusal):
+        bounds.classical_alpha_enclosure()

@@ -392,6 +392,16 @@ def test_hg_float_latin_square_is_invalid_hypergraph(capsys, flags):
     assert json.loads(err)["code"] == "invalid-hypergraph"
 
 
+def test_hg_latin_order_zero_is_invalid_hypergraph(capsys):
+    code, out, err = run(capsys, ["hg", "--family", "transversal", "--params", '{"order":0}'])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "status": "error",
+        "code": "invalid-hypergraph",
+        "message": "Latin order must be >= 1, got 0",
+    }
+
+
 def _usage_error(capsys, argv, *fragments) -> str:
     """Run ``argv``, which must fail with a usage error: exit 2, nothing on
     stdout, and stderr under the subcommand's own usage line.  Returns the
@@ -471,8 +481,9 @@ def test_every_usage_error_prints_the_subcommand_usage(capsys, monkeypatch, comm
 
 def test_bounds_alpha(capsys):
     payload = run_json(capsys, ["bounds", "--alpha"])
-    assert 1.587 < payload["closed_form"] < 1.588
-    assert payload["difference"] <= 1e-9
+    assert list(payload) == ["closed_form", "lower", "upper"]
+    assert 1.587 < payload["lower"] <= payload["closed_form"] <= payload["upper"] < 1.588
+    assert payload["upper"] - payload["lower"] <= 1e-9
 
 
 def test_bounds_alpha_matches_pinned_output(capsys):

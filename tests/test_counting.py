@@ -7,7 +7,7 @@ from itertools import islice, permutations, repeat
 
 import pytest
 
-from queens_lab import core, counting, hypergraph, quadrature
+from queens_lab import bounds, core, counting, hypergraph
 from queens_lab.core import QueensConfig, is_classical, is_toroidal
 from queens_lab.counting import (
     CountResult,
@@ -457,9 +457,9 @@ def test_pool_size_is_clamped_to_tasks_and_cpus(monkeypatch):
         lambda: count_classical(10),
         lambda: enumerate_solutions(10, "classical"),
         lambda: hypergraph.count_perfect_matchings(hypergraph.build_torus_queens_hg(7)),
-        lambda: quadrature.adaptive_simpson(math.sin, 0.0, 1.0),
+        bounds.classical_alpha_enclosure,
     ],
-    ids=["count", "enumerate", "matchings", "simpson"],
+    ids=["count", "enumerate", "matchings", "alpha"],
 )
 def test_recursive_searches_leave_no_reference_cycles(call):
     # A nested recursive function holds itself through its closure; left

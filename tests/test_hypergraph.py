@@ -170,6 +170,16 @@ def test_builders_refuse_non_integer_sizes(monkeypatch, build, args):
         build(*args)
 
 
+@pytest.mark.parametrize("order", [0, -3])
+def test_cyclic_latin_square_refuses_an_order_below_one(monkeypatch, order):
+    def no_cap(*args):
+        raise AssertionError("order checked against a cap")
+
+    monkeypatch.setattr(hypergraph, "check_cap", no_cap)
+    with pytest.raises(InvalidHypergraphError, match=f"^Latin order must be >= 1, got {order}$"):
+        cyclic_latin_square(order)
+
+
 def test_steiner_size_is_refused_before_the_binomial():
     start = time.process_time()
     with pytest.raises(SizeLimitError, match=r"\(1000000,500001,500000\) exceeds the edge cap"):
